@@ -46,6 +46,9 @@ _ALLOWED_KEYS = {
     "spacetime": {"spacetime"},
 }
 
+#: Subcommands that draw random numbers, and so run under a seed.
+_SEEDED = {"simulate", "tomo"}
+
 _SPACETIME_KEYS = {"ab_m", "sa_m", "sb_m", "lsa_m", "lsb_m", "t_e", "t_qrng1",
                    "t_qrng2", "t_delay1", "t_delay2", "t_pc1", "t_pc2",
                    "t_m1", "t_m2"}
@@ -118,18 +121,28 @@ def write_count_csv(table: CountTable, path: str):
                         fh.write(f"{a},{b},{x},{y},{table.counts[ia, ib, x, y]}\n")
 
 
+_OUTCOME_INDEX = {"-1": 0, "1": 1}
+_SETTING_INDEX = {"0": 0, "1": 1}
+
+
 def read_count_csv(path: str) -> CountTable:
     counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "a,b,x,y,count":
             raise ConfigError(f"bad count CSV header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            a, b, x, y, n = line.split(",")
-            counts[(int(a) + 1) // 2, (int(b) + 1) // 2, int(x), int(y)] += int(n)
+            try:
+                a, b, x, y, n = (v.strip() for v in line.split(","))
+                counts[_OUTCOME_INDEX[a], _OUTCOME_INDEX[b],
+                       _SETTING_INDEX[x], _SETTING_INDEX[y]] += int(n)
+            except (ValueError, KeyError):
+                raise ConfigError(
+                    f"count CSV line {lineno} is not 'a,b,x,y,count' with a, b in "
+                    f"{{-1, 1}} and x, y in {{0, 1}}: {line!r}") from None
     return CountTable(counts)
 
 
@@ -188,7 +201,7 @@ def _cmd_simulate(cfg: dict, out_dir: str, seed) -> list[str]:
     dist = np.asarray(cfg.get("setting_dist", [[0.25, 0.25], [0.25, 0.25]]))
     keep_log = bool(cfg.get("trial_log", False))
     result = simulate_trials(rho, settings, det, dist, int(cfg["trials"]),
-                             seed=0 if seed is None else int(seed),
+                             seed=seed,
                              shards=int(cfg.get("shards", 1)),
                              keep_log=keep_log)
     outputs = []
@@ -231,7 +244,10 @@ def _cmd_pbr(cfg: dict, out_dir: str, seed) -> list[str]:
     if "trial_log" not in cfg:
         raise ConfigError("pbr config missing 'trial_log'")
     with open(cfg["trial_log"]) as fh:
-        records = parse_trial_log(fh.read())
+        try:
+            records = parse_trial_log(fh.read())
+        except ValueError as exc:
+            raise ConfigError(f"{cfg['trial_log']}: {exc}") from None
     result = pbr_p_value(records, block=int(cfg.get("block", 10000)))
     path = os.path.join(out_dir, "pbr.json")
     with open(path, "w") as fh:
@@ -244,7 +260,7 @@ def _cmd_tomo(cfg: dict, out_dir: str, seed) -> list[str]:
     if "counts_csv" not in cfg:
         raise ConfigError("tomo config missing 'counts_csv'")
     counts = read_tomo_csv(cfg["counts_csv"])
-    rho_hat, final_l = mle_fit(counts, seed=seed if seed is not None else 0)
+    rho_hat, final_l = mle_fit(counts, seed=seed)
     payload = {"rho": _rho_to_json(rho_hat), "final_likelihood": final_l}
     if "target_weights" in cfg:
         payload["fidelity_to_target"] = fidelity(
@@ -304,6 +320,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     seed = args.seed if args.seed is not None else cfg.get("seed")
+    if seed is None and args.subcommand in _SEEDED:
+        seed = 0  # the default stream, recorded so the run can be repeated
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        return _fail(EXIT_CONFIG, "config", f"seed must be an integer, got {seed!r}")
     os.makedirs(args.out, exist_ok=True)
     try:
         outputs = _COMMANDS[args.subcommand](cfg, args.out, seed)

@@ -1,10 +1,13 @@
 """Device-independent lower bounds from an observed Bell value.
 
 Closed-form certificates on entanglement of formation, negativity and
-measurement incompatibility, plus the numerically optimized multi-alpha
-incompatibility bound restricted to two-qubit pure states and planar
-projective measurements (the regime realized in the experiment; the
-restriction is recorded in the report metadata).
+measurement incompatibility, plus the multi-alpha incompatibility bound
+for two-qubit states and planar projective measurements (the regime
+realized in the experiment; the restriction is recorded in the report
+metadata).  That bound inverts, by bisection, the standard CHSH value of
+the alpha-weighted CHSH maximizer (Acin, Massar and Pironio, PRL 108,
+100402 (2012)) at each incompatibility level, which is itself closed
+form.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = [
     "QuantumBoundExceededError",
@@ -87,67 +89,30 @@ def incompatibility_lower_bound(s: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _best_realization(phi: float, alpha: float, side: str):
-    """Maximize S_alpha over Schmidt angle and planar settings with the
-    named side's Bloch-angle separation fixed to phi.
+    """Maximize S_alpha over two-qubit states and planar settings with
+    the named side's Bloch-angle separation fixed to phi.
 
     Returns (s_alpha_max, correlator matrix E[x, y] of the maximizer).
-    The free side's two settings have a closed-form best response for a
-    fixed state, which reduces the search to (angle center mu, Schmidt
-    correlation s); the outer 2-variable problem is solved by a coarse
-    grid plus local refinement.
+    Every two-qubit correlation tensor has operator norm <= 1, so
+    S_alpha <= |alpha a0 + a1| + |alpha a0 - a1| (side A) or
+    alpha |b0 + b1| + |b0 - b1| (side B) for the Bloch vectors of the
+    settings.  The maximally entangled state, with the free side's
+    settings along those sums, attains the bound whatever the centre
+    angle of the fixed pair; then E = cos(a_x - b_y).
     """
-    half = phi / 2.0
-
+    pair = np.array([-phi / 2.0, phi / 2.0])
+    u = np.exp(1j * pair)
     if side == "A":
-        def objective(v):
-            mu, s = v
-            a0, a1 = mu - half, mu + half
-            p1 = alpha * np.cos(a0) + np.cos(a1)
-            q1 = alpha * np.sin(a0) + np.sin(a1)
-            p2 = alpha * np.cos(a0) - np.cos(a1)
-            q2 = alpha * np.sin(a0) - np.sin(a1)
-            return -(np.hypot(p1, s * q1) + np.hypot(p2, s * q2))
+        a = pair
+        v = np.array([alpha * u[0] + u[1], alpha * u[0] - u[1]])
+        b = np.angle(v)
+        value = np.abs(v).sum()
     else:
-        def objective(v):
-            mu, s = v
-            b0, b1 = mu - half, mu + half
-            p1 = np.cos(b0) + np.cos(b1)
-            q1 = np.sin(b0) + np.sin(b1)
-            p2 = np.cos(b0) - np.cos(b1)
-            q2 = np.sin(b0) - np.sin(b1)
-            return -(alpha * np.hypot(p1, s * q1) + np.hypot(p2, s * q2))
-
-    best = None
-    for mu in (-1.0, 0.0, 1.0):
-        for s in (0.4, 0.95):
-            res = minimize(objective, [mu, s], method="Nelder-Mead",
-                           bounds=[(-np.pi, np.pi), (0.0, 1.0)],
-                           options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000})
-            if best is None or res.fun < best.fun:
-                best = res
-    mu, s = best.x
-    s = float(np.clip(s, 0.0, 1.0))
-
-    if side == "A":
-        a = np.array([mu - half, mu + half])
-        b = np.array([
-            np.arctan2(s * (alpha * np.sin(a[0]) + np.sin(a[1])),
-                       alpha * np.cos(a[0]) + np.cos(a[1])),
-            np.arctan2(s * (alpha * np.sin(a[0]) - np.sin(a[1])),
-                       alpha * np.cos(a[0]) - np.cos(a[1])),
-        ])
-    else:
-        b = np.array([mu - half, mu + half])
-        a = np.array([
-            np.arctan2(s * (np.sin(b[0]) + np.sin(b[1])),
-                       np.cos(b[0]) + np.cos(b[1])),
-            np.arctan2(s * (np.sin(b[0]) - np.sin(b[1])),
-                       np.cos(b[0]) - np.cos(b[1])),
-        ])
-    # Correlators of the pure state with T = diag(s, -s, 1) and planar settings.
-    e = (np.cos(a)[:, None] * np.cos(b)[None, :]
-         + s * np.sin(a)[:, None] * np.sin(b)[None, :])
-    return -best.fun, e
+        b = pair
+        v = np.array([u[0] + u[1], u[0] - u[1]])
+        a = np.angle(v)
+        value = alpha * abs(v[0]) + abs(v[1])
+    return float(value), np.cos(a[:, None] - b[None, :])
 
 
 def _chsh_of_alpha_optimal(t: float, alpha: float, side: str) -> float:
@@ -163,7 +128,7 @@ def multi_alpha_incompatibility_bound(s: float, alpha: float = 1.0, side: str = 
     """Numeric lower bound on min{c*, 1-c*} of one side from a CHSH value.
 
     For each incompatibility level t of the named side the maximal
-    S_alpha realization (two-qubit pure state, planar projective
+    S_alpha realization (two-qubit state, planar projective
     measurements) is computed; inverting the monotone map from t to the
     standard CHSH value of that realization against the observed value
     s gives the certified level.  At alpha = 1 this reproduces the
@@ -242,12 +207,22 @@ class DiBoundReport:
 
 
 def quantify(s: float, alpha: float = 1.0) -> DiBoundReport:
-    """All three closed-form certificates for one (S, alpha) observation."""
+    """All three certificates for one (S, alpha) observation.
+
+    At alpha = 1 all three are closed form; otherwise the report's method
+    and achieved precision are those of multi_alpha_incompatibility_bound.
+    """
+    if alpha == 1.0:
+        inc = {"bound": incompatibility_lower_bound(s), "method": "closed-form",
+               "achieved_precision": 0.0}
+    else:
+        inc = multi_alpha_incompatibility_bound(s, alpha, full_output=True)
     return DiBoundReport(
         s=s,
         alpha=alpha,
         eof_lb=eof_lower_bound(s, alpha),
         negativity_lb=negativity_lower_bound(s, alpha),
-        incompatibility_lb=incompatibility_lower_bound(s) if alpha == 1.0
-        else multi_alpha_incompatibility_bound(s, alpha),
+        incompatibility_lb=inc["bound"],
+        method=inc["method"],
+        achieved_precision=inc["achieved_precision"],
     )

@@ -6,19 +6,26 @@ cos(theta) sigma_z +/- sin(theta) sigma_x; the angle theta in [0, pi/4]
 tunes Bob's incompatibility sin^2(theta).  Sign-optimal outcome
 relabeling is applied throughout, so the reported value is
 2 alpha cos(theta) |T_zz| + 2 sin(theta) |T_xx| at the optimal weights.
+
+Both maxima are exact.  S_alpha is linear in the weights, and the four
+outcome relabelings only permute its coefficients c over the Bell
+components, so one coefficient vector suffices.  At fixed concurrence
+the two largest coefficients take all the weight, which gives
+2 alpha cos(theta) + 2 C sin(theta) for alpha >= 1; its maximum over
+theta, 2 sqrt(alpha^2 + C^2), is the Horodecki maximal CHSH value of
+that state at alpha = 1 (Horodecki et al., PLA 200, 340 (1995)).  At
+fixed entropy the weights take the Gibbs form w ~ exp(beta c)
+(Jaynes 1957), with beta a 1-D root.
 """
 
 from __future__ import annotations
 
 import io
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import least_squares, linprog, minimize
+from scipy.optimize import brentq, least_squares
 
 from .qstate import validate_weights
 
@@ -38,10 +45,6 @@ __all__ = [
 # Correlation-tensor rows in terms of Bell weights (Psi+, Psi-, Phi+, Phi-).
 _TX = np.array([1.0, -1.0, 1.0, -1.0])
 _TZ = np.array([-1.0, -1.0, 1.0, 1.0])
-
-#: Sign patterns (sz, sx) applied to (T_zz, T_xx); each corresponds to a
-#: deterministic local outcome relabeling, enumerated in fixed order.
-_SIGN_PATTERNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class InfeasibleConstraintError(ValueError):
@@ -75,76 +78,59 @@ def _check_theta(theta: float):
         raise ValueError(f"theta = {theta} outside [0, pi/4]")
 
 
-def _objective_coeffs(theta: float, alpha: float, sz: int, sx: int) -> np.ndarray:
-    """Linear coefficients of S = 2a cos(t) sz*T_zz + 2 sin(t) sx*T_xx in weights."""
-    return 2.0 * alpha * np.cos(theta) * sz * _TZ + 2.0 * np.sin(theta) * sx * _TX
+def _objective_coeffs(theta: float, alpha: float) -> np.ndarray:
+    """Linear coefficients of S = 2a cos(t) T_zz + 2 sin(t) T_xx in weights.
+
+    The components take all four values +/-2a cos(t) +/-2 sin(t), so any
+    relabeling (T_zz, T_xx) -> (+/-T_zz, +/-T_xx) permutes them.
+    """
+    return 2.0 * alpha * np.cos(theta) * _TZ + 2.0 * np.sin(theta) * _TX
 
 
-def _point(theta, alpha, s_value, weights) -> InterplayPoint:
+def _point(theta, alpha, weights) -> InterplayPoint:
+    w = np.asarray(weights)
     return InterplayPoint(theta=float(theta), incompatibility=float(np.sin(theta) ** 2),
-                          s_alpha=float(s_value), weights=np.asarray(weights))
+                          s_alpha=float(fixed_state_curve(w, alpha, theta)), weights=w)
 
 
 def max_s_fixed_concurrence(concurrence: float, theta: float,
                             alpha: float = 1.0) -> InterplayPoint:
     """Maximal S_alpha over Bell-diagonal states with the given concurrence.
 
-    The constraint fixes lambda_max = (1 + C)/2; for each choice of the
-    dominant Bell component and each relabeling sign pattern the problem
-    is a linear program over the weight simplex.  Ties break on the
-    lowest pattern index, so the output is deterministic.
+    The constraint fixes lambda_max = (1 + C)/2 >= 1/2, so the remaining
+    mass 1 - lambda_max never exceeds lambda_max: the maximum puts
+    lambda_max on the largest coefficient and the rest on the second
+    largest.  Ties break on the lowest Bell index.
     """
     if not 0.0 <= concurrence <= 1.0:
         raise InfeasibleConstraintError(f"concurrence {concurrence} outside [0, 1]")
     _check_theta(theta)
     lam_max = (1.0 + concurrence) / 2.0
-
-    best_val, best_w = -np.inf, None
-    for sz, sx in _SIGN_PATTERNS:
-        c = _objective_coeffs(theta, alpha, sz, sx)
-        for j in range(4):
-            # max c.w  s.t.  sum w = 1, w_j = lam_max, 0 <= w_i <= lam_max
-            a_eq = np.vstack([np.ones(4), np.eye(4)[j]])
-            b_eq = np.array([1.0, lam_max])
-            res = linprog(-c, A_eq=a_eq, b_eq=b_eq,
-                          bounds=[(0.0, lam_max)] * 4, method="highs")
-            if res.status == 0 and -res.fun > best_val + 1e-12:
-                best_val, best_w = -res.fun, res.x
-    return _point(theta, alpha, best_val, best_w)
+    first, second = np.argsort(-_objective_coeffs(theta, alpha), kind="stable")[:2]
+    w = np.zeros(4)
+    w[first], w[second] = lam_max, 1.0 - lam_max
+    return _point(theta, alpha, w)
 
 
 def _entropy_bits(w: np.ndarray) -> float:
-    nz = w[w > 1e-300]
+    nz = w[w > 0]
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def _simplex_grid(step: float) -> np.ndarray:
-    """All weight vectors on the 3-simplex with the given grid step."""
-    n = int(round(1.0 / step))
-    pts = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            k = np.arange(n + 1 - i - j)
-            block = np.empty((len(k), 4))
-            block[:, 0] = i / n
-            block[:, 1] = j / n
-            block[:, 2] = k / n
-            block[:, 3] = 1.0 - block[:, :3].sum(axis=1)
-            pts.append(block)
-    return np.vstack(pts)
+def _gibbs(c: np.ndarray, beta: float) -> np.ndarray:
+    w = np.exp(beta * (c - c.max()))
+    return w / w.sum()
 
 
-_GRID_CACHE: dict[float, np.ndarray] = {}
-
-
-def max_s_fixed_ode(ode: float, theta: float, alpha: float = 1.0,
-                    constraint_tol: float = 1e-6) -> InterplayPoint:
+def max_s_fixed_ode(ode: float, theta: float, alpha: float = 1.0) -> InterplayPoint:
     """Maximal S_alpha over Bell-diagonal states with one-way distillable
     entanglement 1 - H(lambda) equal to ode.
 
-    Two-phase search: a coarse simplex grid (step 0.01) locates candidate
-    regions near the entropy level set, then SLSQP refines each candidate
-    under the equality constraint to within constraint_tol on the weights.
+    {H >= h} is convex, so a linear objective at entropy h is maximized
+    by w ~ exp(beta c) with beta >= 0 solving H(w) = h.  When the largest
+    coefficient is shared by k components and log2(k) >= h, the maximum
+    is that coefficient itself, reached by a mixture of the tied
+    components with entropy exactly h.
     """
     if not -1.0 < ode <= 1.0:
         raise InfeasibleConstraintError(f"ODE value {ode} outside (-1, 1]")
@@ -152,77 +138,32 @@ def max_s_fixed_ode(ode: float, theta: float, alpha: float = 1.0,
 
     if ode > 1.0 - 1e-9:
         # Pure Bell state is the only feasible point; Psi+ by convention.
-        w = np.array([1.0, 0.0, 0.0, 0.0])
-        val = 2.0 * alpha * np.cos(theta) + 2.0 * np.sin(theta)
-        return _point(theta, alpha, val, w)
+        return _point(theta, alpha, [1.0, 0.0, 0.0, 0.0])
 
-    h_target = 1.0 - ode
-    if 0.01 not in _GRID_CACHE:
-        _GRID_CACHE[0.01] = _simplex_grid(0.01)
-    grid = _GRID_CACHE[0.01]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(grid > 0, np.log2(np.where(grid > 0, grid, 1.0)), 0.0)
-    h = -(grid * logs).sum(axis=1)
-
-    band = 0.02
-    near = np.abs(h - h_target) <= band
-    while not near.any():
-        band *= 2.0
-        near = np.abs(h - h_target) <= band
-        if band > 2.0:
-            raise InfeasibleConstraintError(f"no Bell mixture has 1 - H = {ode}")
-    cand = grid[near]
-
-    tz = cand @ _TZ
-    tx = cand @ _TX
-    obj = 2.0 * alpha * np.cos(theta) * np.abs(tz) + 2.0 * np.sin(theta) * np.abs(tx)
-    starts = cand[np.argsort(obj)[::-1][:12]]
-
-    best_val, best_w = -np.inf, None
-    for w0 in starts:
-        sz = 1 if w0 @ _TZ >= 0 else -1
-        sx = 1 if w0 @ _TX >= 0 else -1
-        c = _objective_coeffs(theta, alpha, sz, sx)
-        # Interior start keeps the entropy gradient finite.
-        w0 = np.clip(w0, 1e-4, None)
-        w0 = w0 / w0.sum()
-        with warnings.catch_warnings():
-            # SLSQP warns when a trial step leaves the box and is clipped;
-            # harmless here since the simplex constraints are enforced.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = minimize(
-                lambda w: -(c @ w), w0, method="SLSQP",
-                bounds=[(1e-12, 1.0)] * 4,
-                constraints=[
-                    {"type": "eq", "fun": lambda w: w.sum() - 1.0},
-                    {"type": "eq", "fun": lambda w: _entropy_bits(np.clip(w, 1e-300, 1.0)) - h_target},
-                ],
-                options={"ftol": 1e-12, "maxiter": 500},
-            )
-        if not res.success:
-            continue
-        w = np.clip(res.x, 0.0, 1.0)
-        w = w / w.sum()
-        if abs(_entropy_bits(w) - h_target) > constraint_tol:
-            continue
-        val = 2.0 * alpha * np.cos(theta) * abs(w @ _TZ) + 2.0 * np.sin(theta) * abs(w @ _TX)
-        if val > best_val + 1e-12:
-            best_val, best_w = val, w
-    if best_w is None:
-        raise InfeasibleConstraintError(
-            f"constrained search failed for ODE = {ode} at theta = {theta}"
-        )
-    return _point(theta, alpha, best_val, best_w)
+    h = 1.0 - ode
+    c = _objective_coeffs(theta, alpha)
+    tied = c >= c.max() - 1e-12
+    if np.log2(tied.sum()) >= h:
+        # Slide from the uniform mixture of the ties to its first member.
+        uniform = tied / tied.sum()
+        vertex = np.eye(4)[np.argmax(tied)]
+        t = brentq(lambda t: _entropy_bits((1 - t) * uniform + t * vertex) - h,
+                   0.0, 1.0, xtol=1e-15)
+        return _point(theta, alpha, (1 - t) * uniform + t * vertex)
+    # H(beta) falls from 2 bits at beta = 0 towards log2(k) < h.
+    beta_hi = 1.0
+    while _entropy_bits(_gibbs(c, beta_hi)) > h:
+        beta_hi *= 2.0
+    beta = brentq(lambda b: _entropy_bits(_gibbs(c, b)) - h, 0.0, beta_hi, xtol=1e-15)
+    return _point(theta, alpha, _gibbs(c, beta))
 
 
-def trajectory(measure: str, level: float, alpha: float, theta_grid,
-               threads: int | None = None) -> list[InterplayPoint]:
+def trajectory(measure: str, level: float, alpha: float,
+               theta_grid) -> list[InterplayPoint]:
     """Per-theta maxima along a sorted grid in [0, pi/4].
 
     measure is 'concurrence' or 'ode'; level is the fixed entanglement
-    value.  Points are independent, so they may be computed concurrently
-    (threads defaults to the BELLKIT_THREADS environment variable);
-    results always merge in grid order.
+    value.
     """
     solvers = {"concurrence": max_s_fixed_concurrence, "ode": max_s_fixed_ode}
     if measure not in solvers:
@@ -231,11 +172,6 @@ def trajectory(measure: str, level: float, alpha: float, theta_grid,
     if np.any(np.diff(grid) < 0):
         raise ValueError("theta grid must be sorted")
     solve = solvers[measure]
-    if threads is None:
-        threads = int(os.environ.get("BELLKIT_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda t: solve(level, t, alpha), grid))
     return [solve(level, t, alpha) for t in grid]
 
 

@@ -243,22 +243,31 @@ def trial_log_to_text(log) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_SETTING_TOKENS = {"0": 0, "1": 1}
+_OUTCOME_TOKENS = {"-1": -1, "1": 1, "u": "u"}
+
+
 def parse_trial_log(text: str) -> list:
-    """Inverse of trial_log_to_text; validates temporal ordering."""
+    """Inverse of trial_log_to_text; validates the alphabet and temporal order."""
     records = []
     last = -1
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("trial_index"):
             continue
-        idx_s, x_s, y_s, a_s, b_s = line.split(",")
-        idx = int(idx_s)
+        try:
+            idx_s, x_s, y_s, a_s, b_s = line.split(",")
+            idx = int(idx_s)
+            record = (_SETTING_TOKENS[x_s], _SETTING_TOKENS[y_s],
+                      _OUTCOME_TOKENS[a_s], _OUTCOME_TOKENS[b_s])
+        except (ValueError, KeyError):
+            raise ValueError(f"trial log line {lineno} is not 'index,x,y,a,b' with "
+                             f"x, y in {{0, 1}} and a, b in {{-1, 1, u}}: {line!r}"
+                             ) from None
         if idx <= last:
             raise ValueError(f"trial log out of temporal order at index {idx}")
         last = idx
-        a = a_s if a_s == "u" else int(a_s)
-        b = b_s if b_s == "u" else int(b_s)
-        records.append((int(x_s), int(y_s), a, b))
+        records.append(record)
     return records
 
 

@@ -90,6 +90,82 @@ class TestQuantify:
             s_alpha_from_counts(res.table), abs=1e-12)
 
 
+class TestInputBoundaries:
+    COUNT_ROWS = ["-1,-1,0,0,10", "1,1,0,1,7", "1,1,1,0,9", "-1,1,1,1,8"]
+
+    def quantify_counts(self, tmp_path, rows):
+        csv_path = tmp_path / "counts.csv"
+        csv_path.write_text("a,b,x,y,count\n" + "\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, "q.json", {"counts_csv": str(csv_path)})
+        return main(["quantify", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("bad", ["0,1,0,0,5", "1,-1,2,0,5", "1,1,0,-1,5",
+                                     "1,1,0,0", "1,1,0,0,many"])
+    def test_count_csv_out_of_alphabet(self, tmp_path, capsys, bad):
+        rc = self.quantify_counts(tmp_path, self.COUNT_ROWS + [bad])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config")
+        assert "line 6" in err and bad in err
+
+    def test_count_csv_valid_rows_accepted(self, tmp_path):
+        assert self.quantify_counts(tmp_path, self.COUNT_ROWS) == 0
+
+    @pytest.mark.parametrize("bad", ["2,0,0,0,1", "2,2,0,1,1", "2,0,1,-1,x"])
+    def test_trial_log_out_of_alphabet(self, tmp_path, capsys, bad):
+        log = tmp_path / "trials.log"
+        log.write_text("0,0,0,1,1\n1,1,0,-1,u\n" + bad + "\n")
+        cfg = write_config(tmp_path, "p.json", {"trial_log": str(log)})
+        out = tmp_path / "o"
+        rc = main(["pbr", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config")
+        assert "line 3" in err and bad in err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    def test_manifest_records_default_seed(self, tmp_path):
+        sim_cfg = write_config(tmp_path, "s.json", {
+            "weights": [0, 0, 1, 0], "settings_deg": [0, 90, 45, -45],
+            "trials": 1000,
+        })
+        assert main(["simulate", "--config", sim_cfg, "--out",
+                     str(tmp_path / "sim")]) == 0
+        seeded = tmp_path / "seeded"
+        assert main(["simulate", "--config", sim_cfg, "--seed", "0", "--out",
+                     str(seeded)]) == 0
+        manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+        assert manifest["seed"] == 0
+        assert (tmp_path / "sim" / "counts.csv").read_bytes() == \
+            (seeded / "counts.csv").read_bytes()
+
+    def test_tomo_manifest_records_default_seed(self, tmp_path):
+        counts = simulate_counts(bell_diagonal([0.9, 0.1, 0, 0]), 10 ** 3, seed=2)
+        csv_path = tmp_path / "tomo.csv"
+        rows = [f"{la},{lb},{int(n)}" for (la, lb), n in zip(
+            ((la, lb) for la in BASIS_LABELS for lb in BASIS_LABELS), counts)]
+        csv_path.write_text("basis_a,basis_b,count\n" + "\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, "t.json", {"counts_csv": str(csv_path)})
+        out = tmp_path / "o"
+        assert main(["tomo", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+
+    @pytest.mark.parametrize("seed", ["x", 1.7, True])
+    def test_non_integer_seed_rejected(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, "s.json", {
+            "weights": [0, 0, 1, 0], "settings_deg": [0, 90, 45, -45],
+            "trials": 1000, "seed": seed,
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("bellkit-error kind=config")
+
+    def test_unseeded_subcommands_record_null(self, tmp_path):
+        cfg = write_config(tmp_path, "q.json", {"pairs": [[2.1, 1.0]]})
+        out = tmp_path / "o"
+        assert main(["quantify", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {

@@ -106,3 +106,15 @@ class TestQuantifyReport:
         assert d["eof_lb"] == pytest.approx(0.0159338, abs=1e-6)
         assert "error" not in d
         assert isinstance(rep.to_json(), str)
+
+    def test_alpha_one_labels_closed_form(self):
+        d = quantify(2.0132).to_dict()
+        assert d["method"] == "closed-form"
+        assert d["achieved_precision"] == 0.0
+
+    def test_multi_alpha_labels_numeric_inversion(self):
+        d = quantify(2.0098, 1.04).to_dict()
+        full = multi_alpha_incompatibility_bound(2.0098, 1.04, full_output=True)
+        assert d["incompatibility_lb"] == full["bound"]
+        assert d["method"] == full["method"] == "planar-qubit envelope inversion"
+        assert 0.0 < d["achieved_precision"] == full["achieved_precision"] <= 1e-10

@@ -74,12 +74,13 @@ class TestTrajectory:
         for p in points:
             assert p.incompatibility == pytest.approx(np.sin(p.theta) ** 2)
 
-    def test_threads_match_serial(self):
+    def test_matches_pointwise_solvers(self):
         grid = np.linspace(0.0, np.pi / 4, 7)
-        serial = trajectory("concurrence", 0.4, 1.2, grid, threads=1)
-        threaded = trajectory("concurrence", 0.4, 1.2, grid, threads=4)
-        assert [p.s_alpha for p in serial] == pytest.approx(
-            [p.s_alpha for p in threaded], abs=1e-12)
+        for measure, solve in (("concurrence", max_s_fixed_concurrence),
+                               ("ode", max_s_fixed_ode)):
+            points = trajectory(measure, 0.4, 1.2, grid)
+            assert [p.s_alpha for p in points] == [
+                solve(0.4, t, 1.2).s_alpha for t in grid]
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError):

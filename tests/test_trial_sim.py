@@ -149,6 +149,13 @@ class TestTrialLog:
         with pytest.raises(ValueError):
             parse_trial_log("1,0,0,1,1\n0,0,0,1,1\n")
 
+    @pytest.mark.parametrize("line", ["3,0,0,0,1", "3,2,0,1,1", "3,0,1,1,-2",
+                                      "3,0,0,1", "3,x,0,1,1", "3,0,0,u,+"])
+    def test_out_of_alphabet_rejected(self, line):
+        text = f"0,1,1,1,-1\n1,0,0,u,1\n2,1,0,1,1\n{line}\n"
+        with pytest.raises(ValueError, match="line 4"):
+            parse_trial_log(text)
+
     def test_log_matches_counts(self):
         rho = bell_diagonal([0.5, 0.5, 0, 0])
         res = simulate_trials(rho, chsh_optimal_settings(), DetectionModel(),
