@@ -25,6 +25,7 @@ __all__ = [
     "s_alpha_expected",
     "sign_optimal_s_alpha",
     "correlators_expected",
+    "born_behavior",
     "hardware_angles",
     "inverse_hardware_angles",
     "chsh_optimal_settings",
@@ -124,15 +125,31 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be >= 1, got {alpha}")
 
 
+def _moments_expected(rho, a0, a1, b0, b1) -> np.ndarray:
+    """Exact moments M[i, j] = Tr(rho O_i x O_j), O = (I, A0, A1) and (I, B0, B1)."""
+    rho = validate_density_matrix(rho)
+    ops_a = (PAULI["I"], a0.observable, a1.observable)
+    ops_b = (PAULI["I"], b0.observable, b1.observable)
+    return np.array([[np.trace(rho @ np.kron(oa, ob)).real for ob in ops_b]
+                     for oa in ops_a])
+
+
 def correlators_expected(rho, a0: MeasurementSetting, a1: MeasurementSetting,
                          b0: MeasurementSetting, b1: MeasurementSetting) -> np.ndarray:
     """Exact correlator matrix E[x, y] = Tr(rho A_x x B_y)."""
-    rho = validate_density_matrix(rho)
-    e = np.empty((2, 2))
-    for x, a in enumerate((a0, a1)):
-        for y, b in enumerate((b0, b1)):
-            e[x, y] = np.trace(rho @ np.kron(a.observable, b.observable)).real
-    return e
+    return _moments_expected(rho, a0, a1, b0, b1)[1:, 1:]
+
+
+def born_behavior(rho, a0: MeasurementSetting, a1: MeasurementSetting,
+                  b0: MeasurementSetting, b1: MeasurementSetting) -> np.ndarray:
+    """Born-rule p(ab|xy) = (1 + a<A_x> + b<B_y> + ab E[x, y]) / 4.
+
+    An (a, b, x, y) array indexed like a count table (0 <-> -1, 1 <-> +1).
+    """
+    m = _moments_expected(rho, a0, a1, b0, b1)  # <A_x> = m[1+x, 0], <B_y> = m[0, 1+y]
+    sa = OUTCOME_VALUES[:, None, None, None]
+    sb = OUTCOME_VALUES[None, :, None, None]
+    return (1.0 + sa * m[1:, :1] + sb * m[:1, 1:] + sa * sb * m[1:, 1:]) / 4.0
 
 
 def _s_alpha(e: np.ndarray, alpha: float) -> float:

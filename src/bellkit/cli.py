@@ -21,7 +21,7 @@ from .di_bounds import quantify as di_quantify
 from .interplay import trajectory, trajectory_to_csv
 from .pbr import pbr_p_value
 from .qstate import bell_diagonal, fidelity
-from .tomo import mle_fit
+from .tomo import BASIS_LABELS, mle_fit
 from .trial_sim import (DetectionModel, SpacetimeConfig, parse_trial_log,
                         simulate_trials, spacetime_check, trial_log_to_text)
 
@@ -123,40 +123,51 @@ def write_count_csv(table: CountTable, path: str):
 
 _OUTCOME_INDEX = {"-1": 0, "1": 1}
 _SETTING_INDEX = {"0": 0, "1": 1}
+_TOMO_PAIRS = [[la, lb] for la in BASIS_LABELS for lb in BASIS_LABELS]
+
+
+def _csv_rows(path: str, header: str, kind: str):
+    """(line number, line, stripped fields) of each non-blank row after the header."""
+    with open(path) as fh:
+        first = fh.readline().strip()
+        if first != header:
+            raise ConfigError(f"bad {kind} CSV header: {first!r}")
+        for lineno, line in enumerate(fh, 2):
+            if line.strip():
+                yield lineno, line.strip(), [v.strip() for v in line.split(",")]
 
 
 def read_count_csv(path: str) -> CountTable:
     counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "a,b,x,y,count":
-            raise ConfigError(f"bad count CSV header: {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                a, b, x, y, n = (v.strip() for v in line.split(","))
-                counts[_OUTCOME_INDEX[a], _OUTCOME_INDEX[b],
-                       _SETTING_INDEX[x], _SETTING_INDEX[y]] += int(n)
-            except (ValueError, KeyError):
-                raise ConfigError(
-                    f"count CSV line {lineno} is not 'a,b,x,y,count' with a, b in "
-                    f"{{-1, 1}} and x, y in {{0, 1}}: {line!r}") from None
+    for lineno, line, fields in _csv_rows(path, "a,b,x,y,count", "count"):
+        try:
+            a, b, x, y, n = fields
+            if not (n.isascii() and n.isdigit()):
+                raise ValueError(n)
+            counts[_OUTCOME_INDEX[a], _OUTCOME_INDEX[b],
+                   _SETTING_INDEX[x], _SETTING_INDEX[y]] += int(n)
+        except (ValueError, KeyError):
+            raise ConfigError(
+                f"count CSV line {lineno} is not 'a,b,x,y,count' with a, b in "
+                f"{{-1, 1}}, x, y in {{0, 1}} and a non-negative integer "
+                f"count: {line!r}") from None
     return CountTable(counts)
 
 
 def read_tomo_csv(path: str) -> np.ndarray:
-    """36 counts in canonical (basis_a, basis_b) order."""
+    """36 counts in canonical (basis_a, basis_b) order, checked row by row."""
     rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "basis_a,basis_b,count":
-            raise ConfigError(f"bad tomography CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(float(line.split(",")[2]))
+    for lineno, line, (*labels, n) in _csv_rows(path, "basis_a,basis_b,count",
+                                                "tomography"):
+        if len(rows) == 36:
+            raise ConfigError(f"tomography CSV line {lineno}: more than 36 rows")
+        want = _TOMO_PAIRS[len(rows)]
+        if labels != want or not (n.isascii() and n.isdigit()):
+            raise ConfigError(
+                f"tomography CSV line {lineno} is not '{want[0]},{want[1]},count' "
+                f"(canonical basis order) with a non-negative integer count: "
+                f"{line!r}")
+        rows.append(float(n))
     if len(rows) != 36:
         raise ConfigError(f"expected 36 tomography rows, got {len(rows)}")
     return np.array(rows)

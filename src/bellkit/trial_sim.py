@@ -3,21 +3,27 @@
 State preparation follows the pulse-cycle scheme of the photon source:
 the source emits Psi+ natively and two modulation channels convert
 selected pulses to the other Bell states, so a cycle of n pulses
-realizes a Bell-diagonal mixture with exact per-state counts.  Detection
-is modeled as independent Bernoulli thinning per side, with either
-device-independent binning (no click counts as outcome -1) or
-post-selection (no-click trials are discarded).
+realizes a Bell-diagonal mixture with exact per-state counts.
+
+A trial is drawn from one exact outcome law (`joint_law`): settings
+from p(x, y), ideal outcomes from the Born rule, and per side the
+detection channel of `_detection_channel`, with a no-click binned to -1
+or kept as u and post-selected away.  A shard draws the counts of the
+law's 36 cells as one multinomial, so a count-only run takes the same
+time and memory for any number of trials.  A trial log is a uniform
+shuffle of the same counts, which is exact: an i.i.d. sequence, given
+its counts, is uniformly ordered.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import CountTable, MeasurementSetting
-from .qstate import PAULI, validate_density_matrix, validate_weights
+from .bell import CountTable, born_behavior
+from .qstate import validate_weights
 
 __all__ = [
     "PulseSchedule",
@@ -26,6 +32,7 @@ __all__ = [
     "SimulationResult",
     "largest_remainder",
     "pulse_schedule",
+    "joint_law",
     "simulate_trials",
     "spacetime_check",
     "behavior_from_counts",
@@ -134,113 +141,91 @@ class SimulationResult:
     log: list | None = None
 
 
-def _outcome_probabilities(rho, settings):
-    """Marginals <A_x>, <B_y> and correlators E[x, y] for the four settings."""
-    rho = validate_density_matrix(rho)
-    a0, a1, b0, b1 = settings
-    eye = PAULI["I"]
-    ma = np.array([
-        np.trace(rho @ np.kron(a.observable, eye)).real for a in (a0, a1)
-    ])
-    mb = np.array([
-        np.trace(rho @ np.kron(eye, b.observable)).real for b in (b0, b1)
-    ])
-    e = np.empty((2, 2))
-    for x, a in enumerate((a0, a1)):
-        for y, b in enumerate((b0, b1)):
-            e[x, y] = np.trace(rho @ np.kron(a.observable, b.observable)).real
-    return ma, mb, e
+#: (x, y, a, b) record and log text of each cell of a flattened `joint_law`.
+_CELLS = tuple((x, y, a, b) for a in (-1, 1, "u") for b in (-1, 1, "u")
+               for x in (0, 1) for y in (0, 1))
+_CELL_TEXT = {cell: ",".join(map(str, cell)) for cell in _CELLS}
 
 
-def _apply_detection(rng, ideal, eta, dark_prob):
-    """Thin ideal outcomes: returns (outcome array, detected mask).
+def _detection_channel(eta: float, dark_prob: float, binned: bool) -> np.ndarray:
+    """K[r, a]: recorded outcome r in (-1, +1, u) given ideal outcome a in (-1, +1).
 
-    Undetected entries get a uniformly random click with probability
-    dark_prob (then count as detected); outcome values for genuinely
-    undetected trials are left at the ideal value and must be masked by
-    the caller according to the no-click mode.
+    r = a with probability eta + (1 - eta) d / 2, r = -a with (1 - eta) d / 2
+    (a dark count is a uniformly random click), u with (1 - eta)(1 - d).
     """
-    n = ideal.shape[0]
-    detected = rng.random(n) < eta
-    if dark_prob > 0.0:
-        dark = (~detected) & (rng.random(n) < dark_prob)
-        ideal = np.where(dark, rng.choice([-1, 1], size=n), ideal)
-        detected = detected | dark
-    return ideal, detected
+    flip = (1.0 - eta) * dark_prob / 2.0
+    miss = (1.0 - eta) * (1.0 - dark_prob)
+    if binned:  # device-independent binning records a no-click as -1
+        return np.array([[eta + flip + miss, flip + miss], [flip, eta + flip],
+                         [0.0, 0.0]])
+    return np.array([[eta + flip, flip], [flip, eta + flip], [miss, miss]])
+
+
+def joint_law(rho, settings, det: DetectionModel, p_xy) -> np.ndarray:
+    """Exact probability P[a, b, x, y] of one recorded trial.
+
+    Outcome index 0, 1, 2 <-> -1, +1, u on each side; settings is the
+    tuple (A0, A1, B0, B1) and p_xy the 2x2 setting distribution.  In
+    di-binary mode the u cells hold zero; in post-selection mode every
+    cell with a u is a discarded trial.
+    """
+    p_xy = np.asarray(p_xy, dtype=float)
+    if p_xy.shape != (2, 2) or np.any(p_xy < 0) or abs(p_xy.sum() - 1.0) > 1e-10:
+        raise ValueError("setting distribution must be a 2x2 probability array")
+    binned = det.mode == "di-binary"
+    law = np.einsum("ra,sb,abxy,xy->rsxy",
+                    _detection_channel(det.eta_a, det.dark_prob, binned),
+                    _detection_channel(det.eta_b, det.dark_prob, binned),
+                    born_behavior(rho, *settings), p_xy / p_xy.sum())
+    if law.min() < -1e-12 or abs(law.sum() - 1.0) > 1e-12:
+        raise ValueError(f"invalid outcome law: {law.min()=}, {law.sum()=}")
+    law = np.clip(law, 0.0, None)  # round-off only
+    return law / law.sum()
 
 
 def simulate_trials(rho, settings, det: DetectionModel, setting_dist,
                     trials: int, seed: int, shards: int = 1,
                     keep_log: bool = False) -> SimulationResult:
-    """Seeded Born-rule sampling of a Bell test.
+    """Seeded sampling of a Bell test from its exact outcome law.
 
     settings is the tuple (A0, A1, B0, B1); setting_dist is p(x, y) as a
-    2x2 array.  Trials are split across shards, each with its own
-    deterministically derived substream, and shard results merge in
-    fixed shard order, so the output depends only on (seed, shards).
+    2x2 array.  Each shard, on its own substream of the seed, draws its
+    cell counts of `joint_law` as one multinomial and then, with
+    keep_log, its records as a uniform shuffle of those counts.  Shards
+    merge in shard order, so the output depends only on (seed, shards),
+    and the counts do not depend on keep_log.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    p_xy = np.asarray(setting_dist, dtype=float)
-    if p_xy.shape != (2, 2) or np.any(p_xy < 0) or abs(p_xy.sum() - 1.0) > 1e-10:
-        raise ValueError("setting distribution must be a 2x2 probability array")
-    ma, mb, e = _outcome_probabilities(rho, settings)
+    law = joint_law(rho, settings, det, setting_dist).ravel()
 
-    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    discarded = 0
-    log_parts = [] if keep_log else None
+    cells = np.zeros(law.size, dtype=np.int64)
+    log = [] if keep_log else None
     shard_sizes = [trials // shards + (1 if i < trials % shards else 0)
                    for i in range(shards)]
-    streams = np.random.SeedSequence(seed).spawn(shards)
-
-    for size, ss in zip(shard_sizes, streams):
-        if size == 0:
-            continue
+    for size, ss in zip(shard_sizes, np.random.SeedSequence(seed).spawn(shards)):
         rng = np.random.default_rng(ss)
-        flat = rng.choice(4, size=size, p=p_xy.ravel())
-        x, y = flat // 2, flat % 2
-
-        # Ideal outcomes from p(ab|xy) = (1 + a<A> + b<B> + ab E)/4,
-        # sampled as a from its marginal then b from the conditional.
-        ax, by, exy = ma[x], mb[y], e[x, y]
-        a = np.where(rng.random(size) < (1.0 + ax) / 2.0, 1, -1)
-        denom = 2.0 * (1.0 + a * ax)
-        pb_plus = (1.0 + a * ax + by + a * exy) / np.where(denom > 0, denom, 1.0)
-        b = np.where(rng.random(size) < pb_plus, 1, -1)
-
-        a, det_a = _apply_detection(rng, a, det.eta_a, det.dark_prob)
-        b, det_b = _apply_detection(rng, b, det.eta_b, det.dark_prob)
-
-        if det.mode == "di-binary":
-            a = np.where(det_a, a, -1)
-            b = np.where(det_b, b, -1)
-            keep = np.ones(size, dtype=bool)
-        else:
-            keep = det_a & det_b
-            discarded += int(np.sum(~keep))
-
-        ia, ib = (a[keep] + 1) // 2, (b[keep] + 1) // 2
-        np.add.at(counts, (ia, ib, x[keep], y[keep]), 1)
-
+        counts = rng.multinomial(size, law)
+        cells += counts
         if keep_log:
-            for i in range(size):
-                if keep[i]:
-                    log_parts.append((int(x[i]), int(y[i]), int(a[i]), int(b[i])))
-                else:
-                    log_parts.append((int(x[i]), int(y[i]),
-                                      int(a[i]) if det_a[i] else "u",
-                                      int(b[i]) if det_b[i] else "u"))
+            order = np.repeat(np.arange(law.size, dtype=np.int8), counts)
+            rng.shuffle(order)
+            log.extend([_CELLS[i] for i in order.tolist()])
 
-    return SimulationResult(table=CountTable(counts), trials=trials,
-                            discarded=discarded, log=log_parts)
+    table = CountTable(cells.reshape(3, 3, 2, 2)[:2, :2])
+    return SimulationResult(table=table, trials=trials,
+                            discarded=trials - table.total, log=log)
 
 
 def trial_log_to_text(log) -> str:
     """Newline-delimited 'trial_index,x,y,a,b' records."""
-    lines = [f"{i},{x},{y},{a},{b}" for i, (x, y, a, b) in enumerate(log)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    try:
+        return "".join([f"{i},{_CELL_TEXT[r]}\n" for i, r in enumerate(log)])
+    except KeyError as exc:
+        raise ValueError(f"trial record {exc.args[0]!r} is not (x, y, a, b) with "
+                         f"x, y in {{0, 1}} and a, b in {{-1, 1, u}}") from None
 
 
 _SETTING_TOKENS = {"0": 0, "1": 1}

@@ -3,9 +3,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellkit.bell import CountTable
-from bellkit.cli import main, read_count_csv, read_tomo_csv, write_count_csv
+from bellkit.cli import (ConfigError, main, read_count_csv, read_tomo_csv,
+                         write_count_csv)
 from bellkit.qstate import bell_diagonal
 from bellkit.tomo import BASIS_LABELS, simulate_counts
 
@@ -90,6 +93,22 @@ class TestQuantify:
             s_alpha_from_counts(res.table), abs=1e-12)
 
 
+#: Near-miss tokens for the out-of-alphabet properties.
+TRICKY_TOKENS = ["", "+1", "-0", "01", "2", "-5", "1.0", "1e3", "u", "U", "0x1"]
+
+
+def set_row(index, text):
+    def edit(rows):
+        rows[index] = text
+    return edit
+
+
+def swap_rows(i, j):
+    def edit(rows):
+        rows[i], rows[j] = rows[j], rows[i]
+    return edit
+
+
 class TestInputBoundaries:
     COUNT_ROWS = ["-1,-1,0,0,10", "1,1,0,1,7", "1,1,1,0,9", "-1,1,1,1,8"]
 
@@ -100,7 +119,8 @@ class TestInputBoundaries:
         return main(["quantify", "--config", cfg, "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize("bad", ["0,1,0,0,5", "1,-1,2,0,5", "1,1,0,-1,5",
-                                     "1,1,0,0", "1,1,0,0,many"])
+                                     "1,1,0,0", "1,1,0,0,many", "1,1,0,0,-5",
+                                     "1,1,0,0,2.0"])
     def test_count_csv_out_of_alphabet(self, tmp_path, capsys, bad):
         rc = self.quantify_counts(tmp_path, self.COUNT_ROWS + [bad])
         assert rc == 1
@@ -123,6 +143,65 @@ class TestInputBoundaries:
         assert err.startswith("bellkit-error kind=config")
         assert "line 3" in err and bad in err
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 40), min_size=16, max_size=16))
+    def test_count_csv_round_trip_property(self, tmp_path_factory, counts):
+        path = tmp_path_factory.mktemp("csv") / "counts.csv"
+        table = CountTable(np.reshape(counts, (2, 2, 2, 2)))
+        write_count_csv(table, str(path))
+        assert np.array_equal(read_count_csv(str(path)).counts, table.counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 15), st.integers(0, 4), st.data())
+    def test_count_csv_random_bad_token_names_its_line(self, tmp_path_factory,
+                                                       row, column, data):
+        path = tmp_path_factory.mktemp("csv") / "counts.csv"
+        write_count_csv(CountTable(np.arange(16).reshape(2, 2, 2, 2)), str(path))
+        lines = path.read_text().splitlines()
+        allowed = ({"-1", "1"}, {"-1", "1"}, {"0", "1"}, {"0", "1"})
+        token = data.draw(st.one_of(st.sampled_from(TRICKY_TOKENS),
+                                    st.text(alphabet="-+0129u.x", max_size=3))
+                          .filter(lambda t: not (t.isdigit() if column == 4
+                                                 else t in allowed[column])))
+        fields = lines[row + 1].split(",")
+        fields[column] = token
+        lines[row + 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"line {row + 2} is not"):
+            read_count_csv(str(path))
+
+    def write_tomo_csv(self, tmp_path, edit=None):
+        counts = simulate_counts(bell_diagonal([0.9, 0.1, 0, 0]), 10 ** 3, seed=2)
+        rows = [f"{la},{lb},{int(n)}" for (la, lb), n in zip(
+            ((la, lb) for la in BASIS_LABELS for lb in BASIS_LABELS), counts)]
+        if edit is not None:
+            edit(rows)
+        csv_path = tmp_path / "tomo.csv"
+        csv_path.write_text("basis_a,basis_b,count\n" + "\n".join(rows) + "\n")
+        return csv_path
+
+    @pytest.mark.parametrize("edit, line", [
+        (set_row(5, "X,Y,40"), 7),              # label outside H, V, +, -, R, L
+        (swap_rows(3, 4), 5),                   # H,R before H,-
+        (set_row(0, "H,H,-50"), 2),             # negative count
+        (set_row(9, "V,-,12.5"), 11),           # non-integer count
+        (set_row(35, "L,L,7,1"), 37),           # extra field
+    ], ids=["label", "order", "negative", "non-integer", "extra-field"])
+    def test_tomo_csv_bad_row(self, tmp_path, capsys, edit, line):
+        csv_path = self.write_tomo_csv(tmp_path, edit)
+        cfg = write_config(tmp_path, "t.json", {"counts_csv": str(csv_path)})
+        out = tmp_path / "o"
+        assert main(["tomo", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config")
+        assert f"line {line} " in err
+        assert not (out / "rho.json").exists()
+
+    def test_tomo_csv_extra_row(self, tmp_path):
+        csv_path = self.write_tomo_csv(tmp_path, lambda rows: rows.append("H,H,1"))
+        with pytest.raises(ConfigError, match="line 38: more than 36 rows"):
+            read_tomo_csv(str(csv_path))
 
     def test_manifest_records_default_seed(self, tmp_path):
         sim_cfg = write_config(tmp_path, "s.json", {
@@ -177,6 +256,21 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "counts.csv").read_bytes() == \
             (out2 / "counts.csv").read_bytes()
+
+    def test_counts_same_with_and_without_trial_log(self, tmp_path):
+        payload = {"weights": [0.05, 0.05, 0.85, 0.05], "settings_deg": [0, 90, 45, -45],
+                   "detection": {"eta_a": 0.8, "eta_b": 0.9, "mode": "post-selection",
+                                 "dark_prob": 0.01},
+                   "trials": 20000, "seed": 5, "shards": 3}
+        plain = write_config(tmp_path, "plain.json", payload)
+        logged = write_config(tmp_path, "logged.json", {**payload, "trial_log": True})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", plain, "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", logged, "--out", str(out2)]) == 0
+        for name in ("counts.csv", "simulate.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert not (out1 / "trials.log").exists()
+        assert len((out2 / "trials.log").read_text().splitlines()) == 20000
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {

@@ -1,14 +1,27 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bellkit.bell import chsh_optimal_settings
 from bellkit.pbr import (BehaviorDistribution, LhvModel, SupportViolationError,
-                         closest_lhv, kl_divergence, lhv_vertices,
-                         pbr_p_value, project_no_signaling)
+                         _ns_constraint_matrix, closest_lhv, kl_divergence,
+                         lhv_vertices, pbr_p_value, project_no_signaling)
 from bellkit.qstate import bell_diagonal
 from bellkit.trial_sim import DetectionModel, behavior_from_counts, simulate_trials
 
 UNIFORM_XY = np.full((2, 2), 0.25)
+#: Divergences reached by the SLSQP projection that the Newton solver replaced.
+PROJECTION_REFERENCE = json.loads(
+    (Path(__file__).parent / "projection_reference.json").read_text())["cases"]
+#: First-block counts C[a, b, x, y], a and b in (-1, 1, u), on which SLSQP
+#: stopped early ("Inequality constraints incompatible") and left zero cells.
+SLSQP_FAILURE_COUNTS = [
+    [[[935, 837], [966, 235]], [[259, 245], [250, 901]], [[58, 68], [50, 51]]],
+    [[[244, 250], [247, 842]], [[820, 914], [876, 233]], [[56, 62], [55, 65]]],
+    [[[55, 67], [48, 51]], [[58, 52], [63, 63]], [[6, 5], [5, 8]]],
+]
 
 
 def uniform_behavior(k=2):
@@ -136,6 +149,35 @@ class TestProjection:
         oracle = np.asarray(qv.value).reshape(2, 2, 2, 2)
         assert np.max(np.abs(q.p - oracle)) < 1e-5
 
+    @pytest.mark.parametrize("case", PROJECTION_REFERENCE,
+                             ids=lambda c: f"k{c['k']}")
+    def test_no_worse_than_slsqp(self, case):
+        k = case["k"]
+        f = BehaviorDistribution(p=np.reshape(case["p"], (k, k, 2, 2)),
+                                 p_xy=np.reshape(case["p_xy"], (2, 2)),
+                                 outcomes=(-1, 1) if k == 2 else (0, 1, "u"))
+        q, info = project_no_signaling(f, full_output=True)
+        assert info["converged"] and info["gap"] < 1e-12
+        if f.p.min() == 0:
+            # The minimizer may lie on q = 0, reached through a log barrier.
+            assert info["objective"] <= case["objective"] + 1e-10
+            return
+        assert info["objective"] <= case["objective"] + 1e-12
+        # Stationarity: p_xy f / q lies in the row space of the constraints.
+        a_mat = _ns_constraint_matrix(k)
+        w = (f.p * f.p_xy).ravel() / q.p.ravel()
+        multipliers = np.linalg.lstsq(a_mat.T, w, rcond=None)[0]
+        assert np.max(np.abs(a_mat.T @ multipliers - w)) < 1e-9
+
+    def test_slsqp_failure_case_is_interior(self):
+        counts = np.array(SLSQP_FAILURE_COUNTS, dtype=float) + 0.5
+        n_xy = counts.sum(axis=(0, 1))
+        f = BehaviorDistribution(p=counts / n_xy, p_xy=n_xy / n_xy.sum(),
+                                 outcomes=(0, 1, "u"))
+        q, info = project_no_signaling(f, full_output=True)
+        assert info["converged"] and q.p.min() > 0
+        assert -np.sum(f.p * f.p_xy * np.log(q.p)) == pytest.approx(1.5548, abs=1e-4)
+
     def test_unbalanced_marginal_equalized(self):
         p = np.full((2, 2, 2, 2), 0.25)
         p[:, :, 0, 0] = [[0.3, 0.3], [0.2, 0.2]]
@@ -221,6 +263,16 @@ class TestPValue:
         result = pbr_p_value(res.log, block=10000)
         assert 0.0 < result.p_value < 1.0 + 1e-12
         assert result.n_trials == 20000
+
+    def test_ratio_rebuild_after_slsqp_failure_case(self):
+        labels = (-1, 1, "u")
+        counts = np.array(SLSQP_FAILURE_COUNTS)
+        log = [(x, y, labels[a], labels[b])
+               for (a, b, x, y), n in np.ndenumerate(counts) for _ in range(n)]
+        assert len(log) == 10000
+        result = pbr_p_value(log + [(0, 0, 1, 1)], block=10000)
+        assert result.blocks == 2 and result.n_trials == 10001
+        assert 0.0 < result.p_value <= 1.0
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,81 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from bellkit.bell import chsh_optimal_settings, s_alpha_from_counts
+from bellkit.bell import MeasurementSetting, chsh_optimal_settings, s_alpha_from_counts
 from bellkit.qstate import bell_diagonal
 from bellkit.trial_sim import (DetectionModel, SpacetimeConfig,
-                               behavior_from_counts, largest_remainder,
-                               parse_trial_log, pulse_schedule,
-                               simulate_trials, spacetime_check,
-                               trial_log_to_text)
+                               behavior_from_counts, joint_law,
+                               largest_remainder, parse_trial_log,
+                               pulse_schedule, simulate_trials,
+                               spacetime_check, trial_log_to_text)
 
 UNIFORM_XY = np.full((2, 2), 0.25)
+SKEWED_XY = np.array([[0.4, 0.1], [0.3, 0.2]])
+SIGNS = np.array([-1.0, 1.0])
+RECORDS = st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1]),
+                    st.sampled_from([-1, 1, "u"]), st.sampled_from([-1, 1, "u"]))
+
+def partly_entangled(angle=0.4, visibility=0.9):
+    """cos|00> + sin|11> with white noise: its local marginals are not zero."""
+    psi = np.array([np.cos(angle), 0, 0, np.sin(angle)])
+    return visibility * np.outer(psi, psi) + (1 - visibility) * np.eye(4) / 4
+
+
+#: (state, settings in degrees, detection) configurations of the law tests.
+LAW_CASES = [
+    (partly_entangled(), (0, 90, 45, -45),
+     DetectionModel(eta_a=0.9, eta_b=0.8, mode="di-binary", dark_prob=0.01)),
+    (partly_entangled(0.3, 0.95), (10, 80, 30, -60),
+     DetectionModel(eta_a=0.75, eta_b=0.95, mode="post-selection", dark_prob=0.05)),
+    (bell_diagonal([0.25, 0.25, 0.25, 0.25]), (0, 45, 20, 70),
+     DetectionModel(eta_a=0.6, eta_b=0.6, mode="post-selection")),
+    (bell_diagonal([0.05, 0.05, 0.85, 0.05]), (5, 95, 40, -50), DetectionModel()),
+]
+
+
+def case_args(case):
+    rho, degrees, det = case
+    return rho, tuple(MeasurementSetting.from_degrees(d) for d in degrees), det
+
+
+def law_of(case):
+    return joint_law(*case_args(case), SKEWED_XY)
+
+
+def recorded_moments(case):
+    """<a>, <b> and <ab> per setting of the recorded outcomes, by trace.
+
+    A side records E[r | a] = eta a - (1 - eta)(1 - d) under binning (dark
+    clicks average to zero), and E[r | a, click] = eta a / (eta + (1 - eta) d)
+    after post-selection, independently of the other side.
+    """
+    rho, degrees, det = case
+    pauli_z, pauli_x, eye = np.diag([1.0, -1.0]), np.array([[0, 1], [1, 0]]), np.eye(2)
+    obs = [np.cos(np.deg2rad(d)) * pauli_z + np.sin(np.deg2rad(d)) * pauli_x
+           for d in degrees]
+    ma = np.array([np.trace(rho @ np.kron(o, eye)).real for o in obs[:2]])[:, None]
+    mb = np.array([np.trace(rho @ np.kron(eye, o)).real for o in obs[2:]])[None, :]
+    e = np.array([[np.trace(rho @ np.kron(a, b)).real for b in obs[2:]]
+                  for a in obs[:2]])
+    if det.mode == "di-binary":
+        ga, gb = det.eta_a, det.eta_b
+        fa, fb = ((1 - eta) * (1 - det.dark_prob) for eta in (ga, gb))
+    else:
+        ga, gb = (eta / (eta + (1 - eta) * det.dark_prob)
+                  for eta in (det.eta_a, det.eta_b))
+        fa = fb = 0.0
+    e_rec = ga * gb * e - ga * fb * ma - fa * gb * mb + fa * fb
+    return (np.broadcast_to(ga * ma - fa, (2, 2)), np.broadcast_to(gb * mb - fb, (2, 2)),
+            e_rec)
+
+
+def chsh(e) -> float:
+    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
 class TestPulseSchedule:
@@ -135,6 +199,102 @@ class TestSimulator:
             DetectionModel(mode="heralded")
 
 
+class TestJointLaw:
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_normalized_per_setting(self, case):
+        law = law_of(case)
+        assert law.shape == (3, 3, 2, 2) and law.min() >= 0.0
+        assert abs(law.sum() - 1.0) < 1e-12
+        assert np.allclose(law.sum(axis=(0, 1)) / SKEWED_XY, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", LAW_CASES[1:3])
+    def test_postselection_discard_mass(self, case):
+        law, det = law_of(case), case[2]
+        discard = law.sum() - law[:2, :2].sum()
+        click_a = det.eta_a + (1 - det.eta_a) * det.dark_prob
+        click_b = det.eta_b + (1 - det.eta_b) * det.dark_prob
+        assert discard == pytest.approx(1.0 - click_a * click_b, abs=1e-14)
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_moments_and_chsh_match_closed_form(self, case):
+        law = law_of(case)[:2, :2]
+        cond = law / law.sum(axis=(0, 1))
+        ref_a, ref_b, ref_e = recorded_moments(case)
+        e = np.einsum("a,b,abxy->xy", SIGNS, SIGNS, cond)
+        assert np.allclose(np.einsum("a,abxy->xy", SIGNS, cond), ref_a, atol=1e-12)
+        assert np.allclose(np.einsum("b,abxy->xy", SIGNS, cond), ref_b, atol=1e-12)
+        assert np.allclose(e, ref_e, atol=1e-12)
+        assert chsh(e) == pytest.approx(chsh(ref_e), abs=1e-12)
+
+    def test_binning_without_u(self):
+        law = law_of(LAW_CASES[0])
+        assert law[2].sum() == law[:, 2].sum() == 0.0
+
+    def test_zero_efficiency_binary_is_minus_one(self):
+        case = (partly_entangled(), (0, 90, 45, -45),
+                DetectionModel(eta_a=0.0, eta_b=0.0))
+        law = law_of(case)
+        assert np.allclose(law[0, 0], SKEWED_XY, atol=1e-15)
+        assert law[0, 0].sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("case", LAW_CASES[:2])
+    def test_samples_fit_the_law(self, case):
+        n = 10 ** 6
+        res = simulate_trials(*case_args(case), SKEWED_XY, n, seed=11, shards=3)
+        law = law_of(case)
+        observed = np.append(res.table.counts.ravel(), res.discarded)
+        expected = n * np.append(law[:2, :2].ravel(), law.sum() - law[:2, :2].sum())
+        keep = expected > 0
+        stat = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
+        assert chi2.sf(stat, keep.sum() - 1) > 1e-3
+        assert np.all(observed[~keep] == 0)
+
+
+class TestSampling:
+    @pytest.mark.parametrize("case", LAW_CASES[:2])
+    def test_counts_do_not_depend_on_log(self, case):
+        args = (*case_args(case), SKEWED_XY, 30011)
+        plain = simulate_trials(*args, seed=12, shards=4)
+        logged = simulate_trials(*args, seed=12, shards=4, keep_log=True)
+        assert plain.log is None and len(logged.log) == 30011
+        assert np.array_equal(plain.table.counts, logged.table.counts)
+        assert plain.discarded == logged.discarded
+        rebuilt = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        no_clicks = 0
+        for x, y, a, b in logged.log:
+            if "u" in (a, b):
+                no_clicks += 1
+            else:
+                rebuilt[(a + 1) // 2, (b + 1) // 2, x, y] += 1
+        assert np.array_equal(rebuilt, logged.table.counts)
+        assert no_clicks == logged.discarded
+
+    def test_log_order_is_shuffled(self):
+        log = simulate_trials(*case_args(LAW_CASES[1]), SKEWED_XY, 40000, seed=14,
+                              keep_log=True).log
+        cells = sorted(set(log), key=str)
+        halves = np.array([[part.count(c) for c in cells]
+                           for part in (log[:20000], log[20000:])])
+        expected = np.outer(halves.sum(axis=1), halves.sum(axis=0)) / halves.sum()
+        stat = np.sum((halves - expected) ** 2 / expected)
+        assert chi2.sf(stat, len(cells) - 1) > 1e-3
+
+    def test_count_only_memory_does_not_grow(self):
+        rho = bell_diagonal([0.05, 0.05, 0.85, 0.05])
+        det = DetectionModel(eta_a=0.8, eta_b=0.8, mode="post-selection",
+                             dark_prob=0.01)
+        args = (rho, chsh_optimal_settings(), det, UNIFORM_XY)
+        simulate_trials(*args, 10, seed=13, shards=8)  # lazy imports of a first call
+        tracemalloc.start()
+        try:
+            res = simulate_trials(*args, 10 ** 7, seed=13, shards=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.table.total + res.discarded == 10 ** 7
+        assert peak < 2 ** 20
+
+
 class TestTrialLog:
     def test_round_trip(self):
         rho = bell_diagonal([0, 0, 1, 0])
@@ -155,6 +315,31 @@ class TestTrialLog:
         text = f"0,1,1,1,-1\n1,0,0,u,1\n2,1,0,1,1\n{line}\n"
         with pytest.raises(ValueError, match="line 4"):
             parse_trial_log(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(RECORDS, max_size=40))
+    def test_text_round_trip_property(self, log):
+        assert parse_trial_log(trial_log_to_text(log)) == log
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(RECORDS, min_size=1, max_size=20), st.data())
+    def test_random_bad_token_names_its_line(self, log, data):
+        lines = trial_log_to_text(log).splitlines()
+        row = data.draw(st.integers(0, len(lines) - 1))
+        column = data.draw(st.integers(1, 4))
+        allowed = {"0", "1"} if column <= 2 else {"-1", "1", "u"}
+        token = data.draw(st.one_of(st.sampled_from(["", "+1", "-0", "01", "2", "U"]),
+                                    st.text(alphabet="-+0129u.x", max_size=3))
+                          .filter(lambda t: t not in allowed))
+        fields = lines[row].split(",")
+        fields[column] = token
+        lines[row] = ",".join(fields)
+        with pytest.raises(ValueError, match=f"line {row + 1} is not"):
+            parse_trial_log("\n".join(lines) + "\n")
+
+    def test_writer_rejects_out_of_alphabet_record(self):
+        with pytest.raises(ValueError, match="not \\(x, y, a, b\\)"):
+            trial_log_to_text([(0, 0, 1, 1), (0, 2, 1, 1)])
 
     def test_log_matches_counts(self):
         rho = bell_diagonal([0.5, 0.5, 0, 0])
