@@ -117,7 +117,7 @@ def s_alpha_from_counts(table: CountTable, alpha: float = 1.0) -> float:
     """Empirical S_alpha from a count table; every setting pair must be populated."""
     _check_alpha(alpha)
     e = np.array([[correlator_from_counts(table, x, y) for y in (0, 1)] for x in (0, 1)])
-    return float(alpha * e[0, 0] + alpha * e[0, 1] + e[1, 0] - e[1, 1])
+    return _s_alpha(e, alpha)
 
 
 def _check_alpha(alpha: float):

@@ -62,6 +62,13 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
+def _integer(value, key: str) -> int:
+    """value if it is a JSON integer; a float, string or boolean is a ConfigError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _load_config(path: str, subcommand: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -85,7 +92,8 @@ def _load_config(path: str, subcommand: str) -> dict:
             bad = set(cfg[key]) - allowed
             if bad:
                 raise ConfigError(f"unknown keys in {key}: {sorted(bad)}")
-    for key in ("counts_csv", "trial_log"):
+    # simulate's trial_log is a flag; only pbr reads a trial log.
+    for key in ("trial_log",) if subcommand == "pbr" else ("counts_csv",):
         if key in cfg and isinstance(cfg[key], str) and not os.path.exists(cfg[key]):
             raise ConfigError(f"input path does not exist: {cfg[key]}")
     return cfg
@@ -121,6 +129,7 @@ def write_count_csv(table: CountTable, path: str):
                         fh.write(f"{a},{b},{x},{y},{table.counts[ia, ib, x, y]}\n")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 _OUTCOME_INDEX = {"-1": 0, "1": 1}
 _SETTING_INDEX = {"0": 0, "1": 1}
 _TOMO_PAIRS = [[la, lb] for la in BASIS_LABELS for lb in BASIS_LABELS]
@@ -139,18 +148,25 @@ def _csv_rows(path: str, header: str, kind: str):
 
 def read_count_csv(path: str) -> CountTable:
     counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    total = 0
     for lineno, line, fields in _csv_rows(path, "a,b,x,y,count", "count"):
         try:
             a, b, x, y, n = fields
             if not (n.isascii() and n.isdigit()):
                 raise ValueError(n)
-            counts[_OUTCOME_INDEX[a], _OUTCOME_INDEX[b],
-                   _SETTING_INDEX[x], _SETTING_INDEX[y]] += int(n)
+            cell = (_OUTCOME_INDEX[a], _OUTCOME_INDEX[b],
+                    _SETTING_INDEX[x], _SETTING_INDEX[y])
         except (ValueError, KeyError):
             raise ConfigError(
                 f"count CSV line {lineno} is not 'a,b,x,y,count' with a, b in "
                 f"{{-1, 1}}, x, y in {{0, 1}} and a non-negative integer "
                 f"count: {line!r}") from None
+        # The table total bounds every cell and every sum taken over cells.
+        total += int(n)
+        if total > _INT64_MAX:
+            raise ConfigError(f"count CSV line {lineno}: the counts so far sum to "
+                              f"{total}, above the int64 maximum {_INT64_MAX}")
+        counts[cell] += int(n)
     return CountTable(counts)
 
 
@@ -210,10 +226,12 @@ def _cmd_simulate(cfg: dict, out_dir: str, seed) -> list[str]:
         raise ConfigError("settings_deg must list 4 angles (A0, A1, B0, B1)")
     det = DetectionModel(**cfg.get("detection", {}))
     dist = np.asarray(cfg.get("setting_dist", [[0.25, 0.25], [0.25, 0.25]]))
-    keep_log = bool(cfg.get("trial_log", False))
-    result = simulate_trials(rho, settings, det, dist, int(cfg["trials"]),
+    keep_log = cfg.get("trial_log", False)
+    if not isinstance(keep_log, bool):
+        raise ConfigError(f"trial_log must be true or false, got {keep_log!r}")
+    result = simulate_trials(rho, settings, det, dist, _integer(cfg["trials"], "trials"),
                              seed=seed,
-                             shards=int(cfg.get("shards", 1)),
+                             shards=_integer(cfg.get("shards", 1), "shards"),
                              keep_log=keep_log)
     outputs = []
     counts_path = os.path.join(out_dir, "counts.csv")
@@ -240,7 +258,7 @@ def _cmd_interplay(cfg: dict, out_dir: str, seed) -> list[str]:
     grid_cfg = cfg["theta_grid"]
     grid = np.linspace(float(grid_cfg.get("start", 0.0)),
                        float(grid_cfg.get("stop", np.pi / 4)),
-                       int(grid_cfg["num"]))
+                       _integer(grid_cfg["num"], "theta_grid.num"))
     outputs = []
     for alpha in cfg.get("alphas", [1.0]):
         points = trajectory(cfg["measure"], float(cfg["level"]), float(alpha), grid)
@@ -259,7 +277,7 @@ def _cmd_pbr(cfg: dict, out_dir: str, seed) -> list[str]:
             records = parse_trial_log(fh.read())
         except ValueError as exc:
             raise ConfigError(f"{cfg['trial_log']}: {exc}") from None
-    result = pbr_p_value(records, block=int(cfg.get("block", 10000)))
+    result = pbr_p_value(records, block=_integer(cfg.get("block", 10000), "block"))
     path = os.path.join(out_dir, "pbr.json")
     with open(path, "w") as fh:
         fh.write(result.to_json())
@@ -328,13 +346,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.subcommand)
+        seed = args.seed if args.seed is not None else cfg.get("seed")
+        if seed is None and args.subcommand in _SEEDED:
+            seed = 0  # the default stream, recorded so the run can be repeated
+        if seed is not None:
+            _integer(seed, "seed")
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None and args.subcommand in _SEEDED:
-        seed = 0  # the default stream, recorded so the run can be repeated
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        return _fail(EXIT_CONFIG, "config", f"seed must be an integer, got {seed!r}")
     os.makedirs(args.out, exist_ok=True)
     try:
         outputs = _COMMANDS[args.subcommand](cfg, args.out, seed)

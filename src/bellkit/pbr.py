@@ -2,19 +2,23 @@
 
 Pipeline: observed frequencies are projected (in Kullback-Leibler
 divergence) onto the no-signaling set, the closest local-hidden-variable
-mixture to that projection is found by expectation-maximization over
-deterministic strategies, and the likelihood ratio of the two induced
-behaviors drives a p-value bound that is valid without i.i.d.
-assumptions.
+mixture to that projection is found by one expectation-maximization run
+over deterministic strategies, stopped when its duality gap certifies
+the optimum, and the likelihood ratio of the two induced behaviors
+drives a p-value bound that is valid without i.i.d. assumptions.  No
+step draws random numbers.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .bell import _s_alpha
+from .trial_sim import behavior_from_counts
 
 __all__ = [
     "BehaviorDistribution",
@@ -29,6 +33,12 @@ __all__ = [
 ]
 
 _NORM_ATOL = 1e-10
+#: closest_lhv stops once its certified distance to the optimal divergence,
+#: in bits, is below this.
+_GAP_TOL_BITS = 1e-10
+#: Cap on closest_lhv's iterations (up to 11000 on tests/lhv_reference.json);
+#: a run that hits it still yields a valid ratio after the rescale.
+_MAX_EM_ITER = 100_000
 
 
 class SupportViolationError(ValueError):
@@ -75,8 +85,7 @@ class BehaviorDistribution:
         if len(self.outcomes) != 2:
             raise ValueError("Bell value needs the binary alphabet")
         signs = np.array([-1.0, 1.0])
-        e = np.einsum("a,b,abxy->xy", signs, signs, self.p)
-        return float(alpha * e[0, 0] + alpha * e[0, 1] + e[1, 0] - e[1, 1])
+        return _s_alpha(np.einsum("a,b,abxy->xy", signs, signs, self.p), alpha)
 
 
 def kl_divergence(f: BehaviorDistribution, p: BehaviorDistribution) -> float:
@@ -180,49 +189,35 @@ def project_no_signaling(f: BehaviorDistribution, obj_tol: float = 1e-14,
     return q
 
 
-def closest_lhv(p_ns: BehaviorDistribution, tol: float = 1e-12,
-                max_iter: int = 20000, restarts: int = 20,
-                seed: int = 0) -> tuple["LhvModel", float]:
+def closest_lhv(p_ns: BehaviorDistribution) -> tuple["LhvModel", float]:
     """Closest local-hidden-variable behavior in Kullback-Leibler divergence.
 
-    Expectation-maximization over mixtures of deterministic strategies:
-    with target pi(abxy) = p_xy p_ns(ab|xy) and mixture P = sum_k w_k V_k,
-    the update w_k <- w_k sum_cells pi V_k / P decreases the divergence
-    monotonically.  Uniform initialization plus random restarts guard
-    against numerical stalls on the polytope boundary.
+    Expectation-maximization over mixtures of deterministic strategies,
+    from the uniform mixture: with target pi(abxy) = p_xy p_ns(ab|xy) and
+    mixture P = sum_k w_k V_k, each step computes g_k = sum_cells pi V_k / P
+    and updates w_k <- w_k g_k / sum_j w_j g_j.  The problem is convex
+    (Csiszar and Tusnady 1984), and by Jensen's inequality log2 max_k g_k
+    bounds the divergence's distance to the optimum, so the run stops once
+    that certified gap is below _GAP_TOL_BITS.  Returns the model and its
+    divergence in bits.
     """
     k = len(p_ns.outcomes)
-    verts = lhv_vertices(k)
-    # Work with joint distributions over (a, b, x, y): both the target and
-    # the vertices carry the setting weights, so the divergence is the
+    # Joint distributions over (a, b, x, y): both the target and the
+    # vertices carry the setting weights, so the divergence is the
     # setting-weighted conditional KL.
     pi = (p_ns.p * p_ns.p_xy).ravel()
-    v_flat = (verts * p_ns.p_xy).reshape(len(verts), -1)
     support = pi > 0
-
-    def run(w):
-        prev = np.inf
-        for _ in range(max_iter):
-            mix = w @ v_flat
-            w = w * (v_flat[:, support] @ (pi[support] / mix[support]))
-            w = np.clip(w, 0.0, None)
-            w /= w.sum()
-            mix = w @ v_flat
-            kl = np.sum(pi[support] * np.log2(pi[support] / mix[support]))
-            if prev - kl < tol:
-                return w, float(max(kl, 0.0))
-            prev = kl
-        return w, float(max(prev, 0.0))
-
-    best_w, best_kl = run(np.full(len(verts), 1.0 / len(verts)))
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        w0 = rng.dirichlet(np.ones(len(verts)))
-        w, kl = run(w0)
-        if kl < best_kl - 1e-9:
-            best_w, best_kl = w, kl
-    model = LhvModel(weights=best_w, outcomes=p_ns.outcomes, p_xy=p_ns.p_xy)
-    return model, best_kl
+    pi = pi[support]
+    v = (lhv_vertices(k) * p_ns.p_xy).reshape(k ** 4, -1)[:, support]
+    w = np.full(k ** 4, 1.0 / k ** 4)
+    for _ in range(_MAX_EM_ITER):
+        g = v @ (pi / (w @ v))
+        if np.log2(g.max()) < _GAP_TOL_BITS:
+            break
+        w = w * g
+        w /= w.sum()
+    kl = float(np.sum(pi * np.log2(pi / (w @ v))))
+    return LhvModel(weights=w, outcomes=p_ns.outcomes, p_xy=p_ns.p_xy), max(kl, 0.0)
 
 
 @dataclass
@@ -256,32 +251,14 @@ class PbrResult:
     blocks: int
     final_kl_ns: float
     final_kl_lhv: float
+    final_gap_bits: float
 
     @property
     def p_value(self) -> float:
         return min(10.0 ** self.log10_p, 1.0)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n_trials": self.n_trials,
-            "log10_p": self.log10_p,
-            "blocks": self.blocks,
-            "final_kl_ns": self.final_kl_ns,
-            "final_kl_lhv": self.final_kl_lhv,
-        })
-
-
-def _frequencies_from_counts(counts: np.ndarray, smoothing: float = 0.5
-                             ) -> BehaviorDistribution:
-    """Laplace-smoothed behavior from raw (a, b, x, y) count array."""
-    c = counts + smoothing
-    n_xy = c.sum(axis=(0, 1))
-    p = c / n_xy
-    p_xy = counts.sum(axis=(0, 1)) + smoothing
-    p_xy = p_xy / p_xy.sum()
-    k = counts.shape[0]
-    return BehaviorDistribution(p=p, p_xy=p_xy,
-                                outcomes=(-1, 1) if k == 2 else (0, 1, "u"))
+        return json.dumps(asdict(self))
 
 
 def _ratio_table(freq: BehaviorDistribution):
@@ -290,12 +267,14 @@ def _ratio_table(freq: BehaviorDistribution):
     R = p_NS / p_LR is rescaled so that E_vertex[R] <= 1 holds exactly
     for every deterministic strategy, which is the validity condition
     for the resulting p-value bound.  Degenerate fits (the projection is
-    already local) fall back to the uninformative R = 1.
+    already local) fall back to the uninformative R = 1.  Also returns the
+    divergences to both fits and log2 of the largest vertex expectation
+    before the rescale, which is closest_lhv's certified gap (0 for R = 1).
     """
     p_ns = project_no_signaling(freq)
     lhv, kl_lhv = closest_lhv(p_ns)
     if kl_lhv < 1e-12:
-        return np.ones_like(freq.p), kl_divergence(freq, p_ns), kl_lhv
+        return np.ones_like(freq.p), kl_divergence(freq, p_ns), kl_lhv, 0.0
     p_lr = lhv.behavior()
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(p_lr.p > 0, p_ns.p / np.where(p_lr.p > 0, p_lr.p, 1.0), 0.0)
@@ -304,15 +283,15 @@ def _ratio_table(freq: BehaviorDistribution):
     # divergence minimizer; dividing by the worst vertex expectation
     # restores it when the fit stops a hair short of optimality.
     verts = lhv_vertices(len(freq.outcomes))
-    expectations = np.einsum("abxy,kabxy->k", r * freq.p_xy, verts)
-    r = r / max(float(expectations.max()), 1.0)
+    worst = float(np.einsum("abxy,kabxy->k", r * freq.p_xy, verts).max())
+    r = r / max(worst, 1.0)
     check = np.einsum("abxy,kabxy->k", r * freq.p_xy, verts)
     if check.max() > 1.0 + 1e-9:
         raise RuntimeError(
             f"prediction ratio violates the validity inequality: max vertex "
             f"expectation {check.max()}"
         )
-    return r, kl_divergence(freq, p_ns), kl_lhv
+    return r, kl_divergence(freq, p_ns), kl_lhv, float(np.log2(worst))
 
 
 def pbr_p_value(trial_log, block: int = 10000) -> PbrResult:
@@ -320,9 +299,10 @@ def pbr_p_value(trial_log, block: int = 10000) -> PbrResult:
 
     trial_log is a sequence of (x, y, a, b) records with a, b in
     {-1, 1} or 'u' for a preserved no-click.  Before each block the
-    ratio table is rebuilt from all prior trials (the first block uses
-    the uninformative R = 1), so every ratio is a genuine prediction and
-    the product bound p <= (prod R_i)^-1 needs no i.i.d. assumption.
+    ratio table is rebuilt from the counts of all prior trials plus 0.5
+    per cell (the first block uses the uninformative R = 1), so every
+    ratio is a genuine prediction and the product bound p <= (prod R_i)^-1
+    needs no i.i.d. assumption.
     """
     if block < 1:
         raise ValueError(f"block size must be >= 1, got {block}")
@@ -330,30 +310,28 @@ def pbr_p_value(trial_log, block: int = 10000) -> PbrResult:
     if not records:
         raise ValueError("empty trial log")
     ternary = any(a == "u" or b == "u" for _, _, a, b in records)
-    if ternary:
-        index = {0: 0, 1: 1, -1: 0, "u": 2}
-        k = 3
-    else:
-        index = {-1: 0, 1: 1}
-        k = 2
+    index = {0: 0, 1: 1, -1: 0, "u": 2} if ternary else {-1: 0, 1: 1}
+    k = 3 if ternary else 2
+    cell = {(x, y, a, b): np.ravel_multi_index((ia, ib, x, y), (k, k, 2, 2))
+            for (a, ia), (b, ib) in itertools.product(index.items(), repeat=2)
+            for x in (0, 1) for y in (0, 1)}
+    # An out-of-alphabet record raises KeyError here.
+    idx = np.fromiter((cell[x, y, a, b] for x, y, a, b in records),
+                      dtype=np.intp, count=len(records))
 
-    counts = np.zeros((k, k, 2, 2))
-    log10_sum = 0.0
-    ratio = np.ones((k, k, 2, 2))
-    kl_ns = kl_lhv = 0.0
-    n_blocks = 0
-    pos = 0
-    while pos < len(records):
+    counts = np.zeros(k * k * 4)
+    log_ratio = np.zeros(k * k * 4)  # log10 R, uninformative for the first block
+    log10_sum = kl_ns = kl_lhv = gap = 0.0
+    for pos in range(0, len(idx), block):
         if pos > 0:
-            ratio, kl_ns, kl_lhv = _ratio_table(_frequencies_from_counts(counts))
-        n_blocks += 1
-        chunk = records[pos: pos + block]
-        for x, y, a, b in chunk:
-            ia, ib = index[a], index[b]
-            counts[ia, ib, x, y] += 1
-            log10_sum += np.log10(max(ratio[ia, ib, x, y], 1e-300))
-        pos += len(chunk)
+            freq = behavior_from_counts(counts.reshape(k, k, 2, 2) + 0.5,
+                                        "ternary" if ternary else "binary")
+            ratio, kl_ns, kl_lhv, gap = _ratio_table(freq)
+            log_ratio = np.log10(np.maximum(ratio, 1e-300)).ravel()
+        c = np.bincount(idx[pos:pos + block], minlength=k * k * 4)
+        log10_sum += float(c @ log_ratio)
+        counts += c
 
-    log10_p = -log10_sum
-    return PbrResult(n_trials=len(records), log10_p=min(log10_p, 0.0),
-                     blocks=n_blocks, final_kl_ns=kl_ns, final_kl_lhv=kl_lhv)
+    return PbrResult(n_trials=len(records), log10_p=min(-log10_sum, 0.0),
+                     blocks=-(-len(records) // block), final_kl_ns=kl_ns,
+                     final_kl_lhv=kl_lhv, final_gap_bits=gap)

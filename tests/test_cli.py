@@ -238,6 +238,56 @@ class TestInputBoundaries:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("bellkit-error kind=config")
 
+    def config_with(self, tmp_path, subcommand, key, value):
+        if subcommand == "simulate":
+            payload = {"weights": [0, 0, 1, 0], "settings_deg": [0, 90, 45, -45],
+                       "trials": 1000, key: value}
+        elif subcommand == "pbr":
+            log = tmp_path / "trials.log"
+            log.write_text("0,0,0,1,1\n1,1,0,-1,-1\n")
+            payload = {"trial_log": str(log), key: value}
+        else:
+            payload = {"measure": "concurrence", "level": 0.4,
+                       "theta_grid": {"num": value}}
+        return write_config(tmp_path, "c.json", payload)
+
+    @pytest.mark.parametrize("value", [1000.9, "10", True, 1.0])
+    @pytest.mark.parametrize("subcommand,key", [
+        ("simulate", "trials"), ("simulate", "shards"), ("pbr", "block"),
+        ("interplay", "theta_grid.num")])
+    def test_non_integer_config_number_rejected(self, tmp_path, capsys, subcommand,
+                                                key, value):
+        cfg = self.config_with(tmp_path, subcommand, key, value)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config") and key in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("value", [1, 0, "true", 1.0])
+    def test_non_boolean_trial_log_flag_rejected(self, tmp_path, capsys, value):
+        cfg = self.config_with(tmp_path, "simulate", "trial_log", value)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config") and "trial_log" in err
+        assert not (out / "counts.csv").exists()
+
+    @pytest.mark.parametrize("rows,line", [
+        (["-1,-1,0,0,100000000000000000000000"], 2),
+        (["-1,-1,0,0,9223372036854775807", "-1,-1,0,0,9223372036854775807"], 3),
+        (["-1,-1,0,0,9223372036854775807", "1,1,1,1,1"], 3)])
+    def test_count_csv_overflow_names_its_line(self, tmp_path, capsys, rows, line):
+        assert self.quantify_counts(tmp_path, rows) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config") and f"line {line}" in err
+
+    def test_count_csv_int64_max_accepted(self, tmp_path):
+        csv_path = tmp_path / "counts.csv"
+        csv_path.write_text("a,b,x,y,count\n-1,-1,0,0,9223372036854775807\n")
+        assert read_count_csv(str(csv_path)).total == 2 ** 63 - 1
+
     def test_unseeded_subcommands_record_null(self, tmp_path):
         cfg = write_config(tmp_path, "q.json", {"pairs": [[2.1, 1.0]]})
         out = tmp_path / "o"

@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellkit.bell import chsh_optimal_settings
-from bellkit.pbr import (BehaviorDistribution, LhvModel, SupportViolationError,
-                         _ns_constraint_matrix, closest_lhv, kl_divergence,
-                         lhv_vertices, pbr_p_value, project_no_signaling)
+from bellkit.bell import CountTable, chsh_optimal_settings, s_alpha_from_counts
+from bellkit.pbr import (_GAP_TOL_BITS, BehaviorDistribution, LhvModel,
+                         SupportViolationError, _ns_constraint_matrix,
+                         _ratio_table, closest_lhv,
+                         kl_divergence, lhv_vertices, pbr_p_value,
+                         project_no_signaling)
 from bellkit.qstate import bell_diagonal
 from bellkit.trial_sim import DetectionModel, behavior_from_counts, simulate_trials
 
@@ -15,6 +17,9 @@ UNIFORM_XY = np.full((2, 2), 0.25)
 #: Divergences reached by the SLSQP projection that the Newton solver replaced.
 PROJECTION_REFERENCE = json.loads(
     (Path(__file__).parent / "projection_reference.json").read_text())["cases"]
+#: Divergences reached by the multi-start EM that the gap-stopped run replaced.
+LHV_REFERENCE = json.loads(
+    (Path(__file__).parent / "lhv_reference.json").read_text())["cases"]
 #: First-block counts C[a, b, x, y], a and b in (-1, 1, u), on which SLSQP
 #: stopped early ("Inequality constraints incompatible") and left zero cells.
 SLSQP_FAILURE_COUNTS = [
@@ -22,6 +27,15 @@ SLSQP_FAILURE_COUNTS = [
     [[[244, 250], [247, 842]], [[820, 914], [876, 233]], [[56, 62], [55, 65]]],
     [[[55, 67], [48, 51]], [[58, 52], [63, 63]], [[6, 5], [5, 8]]],
 ]
+
+
+def certified_gap(p_ns, weights):
+    """log2 max_k sum pi V_k / P, with pi = p_xy p_ns and P = sum_k w_k V_k:
+    a bound on the divergence of the mixture minus the optimal one."""
+    k = len(p_ns.outcomes)
+    pi = (p_ns.p * p_ns.p_xy).ravel()
+    v = (lhv_vertices(k) * p_ns.p_xy).reshape(k ** 4, -1)[:, pi > 0]
+    return float(np.log2(np.max(v @ (pi[pi > 0] / (weights @ v)))))
 
 
 def uniform_behavior(k=2):
@@ -216,10 +230,23 @@ class TestClosestLhv:
         for _ in range(20):
             raw = rng.dirichlet(np.ones(4), size=4).T.reshape(2, 2, 2, 2)
             f = BehaviorDistribution(p=raw, p_xy=UNIFORM_XY)
-            model, _ = closest_lhv(project_no_signaling(f), restarts=2)
+            model, _ = closest_lhv(project_no_signaling(f))
             out = model.behavior()
             assert out.no_signaling_residual() < 1e-9
             assert abs(out.s_value()) <= 2.0 + 1e-8
+
+    @pytest.mark.parametrize("case", LHV_REFERENCE, ids=lambda c: c["source"])
+    def test_no_worse_than_multistart_em(self, case):
+        k = case["k"]
+        p_ns = BehaviorDistribution(p=np.reshape(case["p"], (k, k, 2, 2)),
+                                    p_xy=np.reshape(case["p_xy"], (2, 2)),
+                                    outcomes=(-1, 1) if k == 2 else (0, 1, "u"))
+        model, kl = closest_lhv(p_ns)
+        assert kl == pytest.approx(kl_divergence(p_ns, model.behavior()), abs=1e-12)
+        gap = certified_gap(p_ns, model.weights)
+        assert gap < _GAP_TOL_BITS
+        assert kl <= case["kl"] + 1e-9
+        assert kl - gap <= case["kl"] + 1e-12
 
     def test_lhv_model_validation(self):
         with pytest.raises(ValueError):
@@ -274,6 +301,36 @@ class TestPValue:
         assert result.blocks == 2 and result.n_trials == 10001
         assert 0.0 < result.p_value <= 1.0
 
+    @pytest.mark.parametrize("mode", ["di-binary", "post-selection"])
+    def test_block_sums_match_per_trial_loop(self, mode):
+        det = DetectionModel(eta_a=0.99, eta_b=0.99, mode=mode)
+        log = simulate_trials(bell_diagonal([0.02, 0.02, 0.94, 0.02]),
+                              chsh_optimal_settings(), det, UNIFORM_XY, 25000,
+                              seed=8, keep_log=True).log
+        k = 3 if mode == "post-selection" else 2
+        index = {-1: 0, 1: 1, "u": 2}
+        counts, ratio, log10_sum = np.zeros((k, k, 2, 2)), np.ones((k, k, 2, 2)), 0.0
+        for pos in range(0, len(log), 10000):
+            if pos:
+                freq = behavior_from_counts(counts + 0.5, "ternary" if k == 3 else "binary")
+                ratio = _ratio_table(freq)[0]
+            for x, y, a, b in log[pos:pos + 10000]:
+                counts[index[a], index[b], x, y] += 1
+                log10_sum += np.log10(max(ratio[index[a], index[b], x, y], 1e-300))
+        result = pbr_p_value(log, block=10000)
+        assert result.blocks == 3 and log10_sum > 1.0
+        assert result.log10_p == pytest.approx(-log10_sum, rel=1e-12)
+        p_ns = project_no_signaling(freq)
+        gap = certified_gap(p_ns, closest_lhv(p_ns)[0].weights)
+        assert result.final_gap_bits == pytest.approx(gap, abs=1e-12)
+        assert 0.0 < result.final_gap_bits < _GAP_TOL_BITS
+
+    @pytest.mark.parametrize("bad", [(0, 0, 2, 1), (2, 0, 1, 1), (-1, 0, 1, 1),
+                                     (0, 0, 0, 1)])
+    def test_out_of_alphabet_record_rejected(self, bad):
+        with pytest.raises(KeyError):
+            pbr_p_value([(0, 0, 1, 1), (1, 1, -1, 1), bad])
+
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
             pbr_p_value([])
@@ -282,11 +339,20 @@ class TestPValue:
         import json
         result = pbr_p_value(quantum_log(5000, seed=5).log, block=2500)
         payload = json.loads(result.to_json())
-        assert set(payload) == {"n_trials", "log10_p", "blocks",
-                                "final_kl_ns", "final_kl_lhv"}
+        assert set(payload) == {"n_trials", "log10_p", "blocks", "final_kl_ns",
+                                "final_kl_lhv", "final_gap_bits"}
 
 
 class TestBehaviorType:
+    def test_s_alpha_from_counts_and_behavior_agree(self):
+        counts = np.random.default_rng(9).integers(1, 100, size=(2, 2, 2, 2))
+        e = (counts[0, 0] - counts[0, 1] - counts[1, 0] + counts[1, 1]) \
+            / counts.sum(axis=(0, 1))
+        want = 1.3 * e[0, 0] + 1.3 * e[0, 1] + e[1, 0] - e[1, 1]
+        table = CountTable(counts)
+        assert s_alpha_from_counts(table, 1.3) == pytest.approx(want, abs=1e-12)
+        assert behavior_from_counts(table).s_value(1.3) == pytest.approx(want, abs=1e-12)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             BehaviorDistribution(p=np.full((2, 2, 2, 2), 0.3), p_xy=UNIFORM_XY)
