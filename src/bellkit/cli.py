@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bell import CountTable, MeasurementSetting, s_alpha_from_counts
+from .bell import (CountTable, EmptySettingError, MeasurementSetting,
+                   s_alpha_from_counts)
 from .di_bounds import quantify as di_quantify
 from .interplay import trajectory, trajectory_to_csv
 from .pbr import pbr_p_value
@@ -67,6 +68,21 @@ def _integer(value, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _number(value, key: str, shape: tuple = ()):
+    """value as floats if it is a JSON array of that shape (None: any length)
+    of finite numbers; a string, boolean, NaN or infinity is a ConfigError."""
+    if shape:
+        if not isinstance(value, list) or shape[0] not in (None, len(value)):
+            dims = " x ".join("n" if d is None else str(d) for d in shape)
+            raise ConfigError(f"{key} must be an array of shape ({dims}) of numbers, "
+                              f"got {value!r}")
+        return [_number(v, key, shape[1:]) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 def _load_config(path: str, subcommand: str) -> dict:
@@ -194,13 +210,14 @@ def _rho_to_json(rho: np.ndarray) -> list:
 
 
 def _cmd_quantify(cfg: dict, out_dir: str, seed) -> list[str]:
-    alpha = float(cfg.get("alpha", 1.0))
-    pairs = []
-    if "pairs" in cfg:
-        pairs = [(float(s), float(a)) for s, a in cfg["pairs"]]
+    alpha = _number(cfg.get("alpha", 1.0), "alpha")
+    pairs = _number(cfg.get("pairs", []), "pairs", (None, 2))
     if "counts_csv" in cfg:
         table = read_count_csv(cfg["counts_csv"])
-        pairs.append((s_alpha_from_counts(table, alpha), alpha))
+        try:
+            pairs.append([s_alpha_from_counts(table, alpha), alpha])
+        except EmptySettingError as exc:
+            raise ConfigError(f"{cfg['counts_csv']}: {exc}") from None
     if not pairs:
         raise ConfigError("quantify needs 'pairs' or 'counts_csv'")
     reports = []
@@ -220,12 +237,14 @@ def _cmd_simulate(cfg: dict, out_dir: str, seed) -> list[str]:
     for key in ("weights", "settings_deg", "trials"):
         if key not in cfg:
             raise ConfigError(f"simulate config missing {key!r}")
-    rho = bell_diagonal(cfg["weights"])
-    settings = tuple(MeasurementSetting.from_degrees(d) for d in cfg["settings_deg"])
-    if len(settings) != 4:
-        raise ConfigError("settings_deg must list 4 angles (A0, A1, B0, B1)")
-    det = DetectionModel(**cfg.get("detection", {}))
-    dist = np.asarray(cfg.get("setting_dist", [[0.25, 0.25], [0.25, 0.25]]))
+    rho = bell_diagonal(_number(cfg["weights"], "weights", (4,)))
+    settings = tuple(MeasurementSetting.from_degrees(d)  # (A0, A1, B0, B1)
+                     for d in _number(cfg["settings_deg"], "settings_deg", (4,)))
+    det_cfg = {key: value if key == "mode" else _number(value, f"detection.{key}")
+               for key, value in cfg.get("detection", {}).items()}
+    det = DetectionModel(**det_cfg)
+    dist = np.asarray(_number(cfg.get("setting_dist", [[0.25, 0.25], [0.25, 0.25]]),
+                              "setting_dist", (2, 2)))
     keep_log = cfg.get("trial_log", False)
     if not isinstance(keep_log, bool):
         raise ConfigError(f"trial_log must be true or false, got {keep_log!r}")
@@ -256,12 +275,15 @@ def _cmd_interplay(cfg: dict, out_dir: str, seed) -> list[str]:
         if key not in cfg:
             raise ConfigError(f"interplay config missing {key!r}")
     grid_cfg = cfg["theta_grid"]
-    grid = np.linspace(float(grid_cfg.get("start", 0.0)),
-                       float(grid_cfg.get("stop", np.pi / 4)),
+    grid = np.linspace(_number(grid_cfg.get("start", 0.0), "theta_grid.start"),
+                       _number(grid_cfg.get("stop", np.pi / 4), "theta_grid.stop"),
                        _integer(grid_cfg["num"], "theta_grid.num"))
+    level = _number(cfg["level"], "level")
+    alphas = cfg.get("alphas", [1.0])
     outputs = []
-    for alpha in cfg.get("alphas", [1.0]):
-        points = trajectory(cfg["measure"], float(cfg["level"]), float(alpha), grid)
+    # Each output file is named after the alpha as the config writes it.
+    for alpha, value in zip(alphas, _number(alphas, "alphas", (None,))):
+        points = trajectory(cfg["measure"], level, value, grid)
         path = os.path.join(out_dir, f"interplay_alpha{alpha}.csv")
         with open(path, "w") as fh:
             fh.write(trajectory_to_csv(points))
@@ -274,10 +296,10 @@ def _cmd_pbr(cfg: dict, out_dir: str, seed) -> list[str]:
         raise ConfigError("pbr config missing 'trial_log'")
     with open(cfg["trial_log"]) as fh:
         try:
-            records = parse_trial_log(fh.read())
+            cells = parse_trial_log(fh.read())
         except ValueError as exc:
             raise ConfigError(f"{cfg['trial_log']}: {exc}") from None
-    result = pbr_p_value(records, block=_integer(cfg.get("block", 10000), "block"))
+    result = pbr_p_value(cells, block=_integer(cfg.get("block", 10000), "block"))
     path = os.path.join(out_dir, "pbr.json")
     with open(path, "w") as fh:
         fh.write(result.to_json())
@@ -289,11 +311,12 @@ def _cmd_tomo(cfg: dict, out_dir: str, seed) -> list[str]:
     if "counts_csv" not in cfg:
         raise ConfigError("tomo config missing 'counts_csv'")
     counts = read_tomo_csv(cfg["counts_csv"])
+    if "target_weights" in cfg:
+        target = bell_diagonal(_number(cfg["target_weights"], "target_weights", (4,)))
     rho_hat, final_l = mle_fit(counts, seed=seed)
     payload = {"rho": _rho_to_json(rho_hat), "final_likelihood": final_l}
     if "target_weights" in cfg:
-        payload["fidelity_to_target"] = fidelity(
-            rho_hat, bell_diagonal(cfg["target_weights"]))
+        payload["fidelity_to_target"] = fidelity(rho_hat, target)
     path = os.path.join(out_dir, "rho.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bell import _s_alpha
-from .trial_sim import behavior_from_counts
+from .trial_sim import TRIAL_CELLS, behavior_from_counts, check_trial_log
 
 __all__ = [
     "BehaviorDistribution",
@@ -113,15 +113,10 @@ def lhv_vertices(n_outcomes: int = 2) -> np.ndarray:
     (k^4, k, k, 2, 2) in lexicographic strategy order.
     """
     k = n_outcomes
-    strategies = list(itertools.product(range(k), repeat=2))  # outcome per input
-    verts = np.zeros((len(strategies) ** 2, k, k, 2, 2))
-    i = 0
-    for sa in strategies:
-        for sb in strategies:
-            for x in (0, 1):
-                for y in (0, 1):
-                    verts[i, sa[x], sb[y], x, y] = 1.0
-            i += 1
+    verts = np.zeros((k ** 4, k, k, 2, 2))
+    # Outcomes (a0, a1, b0, b1) of each side per input.
+    for i, (a0, a1, b0, b1) in enumerate(itertools.product(range(k), repeat=4)):
+        verts[i, [a0, a0, a1, a1], [b0, b1, b0, b1], [0, 0, 1, 1], [0, 1, 0, 1]] = 1.0
     return verts
 
 
@@ -294,11 +289,12 @@ def _ratio_table(freq: BehaviorDistribution):
     return r, kl_divergence(freq, p_ns), kl_lhv, float(np.log2(worst))
 
 
-def pbr_p_value(trial_log, block: int = 10000) -> PbrResult:
+def pbr_p_value(cells, block: int = 10000) -> PbrResult:
     """Prediction-based-ratio p-value bound from an ordered trial log.
 
-    trial_log is a sequence of (x, y, a, b) records with a, b in
-    {-1, 1} or 'u' for a preserved no-click.  Before each block the
+    cells is the log as a 1-D integer array of `trial_sim.TRIAL_CELLS`
+    indices; a log with a no-click u is tested on the ternary alphabet
+    (-1, 1, u) per side, any other on the binary one.  Before each block the
     ratio table is rebuilt from the counts of all prior trials plus 0.5
     per cell (the first block uses the uninformative R = 1), so every
     ratio is a genuine prediction and the product bound p <= (prod R_i)^-1
@@ -306,32 +302,26 @@ def pbr_p_value(trial_log, block: int = 10000) -> PbrResult:
     """
     if block < 1:
         raise ValueError(f"block size must be >= 1, got {block}")
-    records = list(trial_log)
-    if not records:
+    cells = check_trial_log(cells)
+    if not cells.size:
         raise ValueError("empty trial log")
-    ternary = any(a == "u" or b == "u" for _, _, a, b in records)
-    index = {0: 0, 1: 1, -1: 0, "u": 2} if ternary else {-1: 0, 1: 1}
-    k = 3 if ternary else 2
-    cell = {(x, y, a, b): np.ravel_multi_index((ia, ib, x, y), (k, k, 2, 2))
-            for (a, ia), (b, ib) in itertools.product(index.items(), repeat=2)
-            for x in (0, 1) for y in (0, 1)}
-    # An out-of-alphabet record raises KeyError here.
-    idx = np.fromiter((cell[x, y, a, b] for x, y, a, b in records),
-                      dtype=np.intp, count=len(records))
+    n = len(TRIAL_CELLS)
+    total = np.bincount(cells, minlength=n).reshape(3, 3, 2, 2)
+    k = 2 if total[:2, :2].sum() == cells.size else 3
 
-    counts = np.zeros(k * k * 4)
-    log_ratio = np.zeros(k * k * 4)  # log10 R, uninformative for the first block
+    counts = np.zeros((3, 3, 2, 2))
+    log_ratio = np.zeros((3, 3, 2, 2))  # log10 R, uninformative for the first block
     log10_sum = kl_ns = kl_lhv = gap = 0.0
-    for pos in range(0, len(idx), block):
+    for pos in range(0, cells.size, block):
         if pos > 0:
-            freq = behavior_from_counts(counts.reshape(k, k, 2, 2) + 0.5,
-                                        "ternary" if ternary else "binary")
+            freq = behavior_from_counts(counts[:k, :k] + 0.5,
+                                        "ternary" if k == 3 else "binary")
             ratio, kl_ns, kl_lhv, gap = _ratio_table(freq)
-            log_ratio = np.log10(np.maximum(ratio, 1e-300)).ravel()
-        c = np.bincount(idx[pos:pos + block], minlength=k * k * 4)
-        log10_sum += float(c @ log_ratio)
-        counts += c
+            log_ratio[:k, :k] = np.log10(np.maximum(ratio, 1e-300))
+        c = np.bincount(cells[pos:pos + block], minlength=n)
+        log10_sum += float(c @ log_ratio.ravel())
+        counts += c.reshape(3, 3, 2, 2)
 
-    return PbrResult(n_trials=len(records), log10_p=min(-log10_sum, 0.0),
-                     blocks=-(-len(records) // block), final_kl_ns=kl_ns,
+    return PbrResult(n_trials=cells.size, log10_p=min(-log10_sum, 0.0),
+                     blocks=-(-cells.size // block), final_kl_ns=kl_ns,
                      final_kl_lhv=kl_lhv, final_gap_bits=gap)

@@ -96,12 +96,13 @@ def concurrence(rho) -> float:
     For Bell-diagonal states this equals max(0, 2*lambda_max - 1).
     """
     rho = validate_density_matrix(rho)
-    rho_tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    # Eigenvalues of rho @ rho_tilde are real and nonnegative up to noise.
-    ev = np.linalg.eigvals(rho @ rho_tilde).real
-    mu = np.sqrt(np.clip(ev, 0.0, None))
-    mu.sort()
-    return float(max(0.0, mu[-1] - mu[-2] - mu[-3] - mu[-4]))
+    # With rho = W W^dagger, rho @ rho_tilde is similar to M M^dagger for
+    # M = W^T (sigma_y x sigma_y) W, so Wootters' lambdas are the singular
+    # values of M; no square root of a round-off-sized eigenvalue is taken.
+    ev, vec = np.linalg.eigh(rho)
+    w = vec * np.sqrt(np.clip(ev, 0.0, None))
+    mu = np.linalg.svd(w.T @ _SIGMA_YY @ w, compute_uv=False)  # descending
+    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
 
 
 def binary_entropy(p: float) -> float:

@@ -12,7 +12,8 @@ or kept as u and post-selected away.  A shard draws the counts of the
 law's 36 cells as one multinomial, so a count-only run takes the same
 time and memory for any number of trials.  A trial log is a uniform
 shuffle of the same counts, which is exact: an i.i.d. sequence, given
-its counts, is uniformly ordered.
+its counts, is uniformly ordered; in memory it is an int8 column of
+`TRIAL_CELLS` indices.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ __all__ = [
     "DetectionModel",
     "SpacetimeConfig",
     "SimulationResult",
+    "TRIAL_CELLS",
     "largest_remainder",
     "pulse_schedule",
     "joint_law",
     "simulate_trials",
     "spacetime_check",
     "behavior_from_counts",
+    "check_trial_log",
     "trial_log_to_text",
     "parse_trial_log",
     "SPEED_OF_LIGHT_M_PER_NS",
@@ -136,15 +139,18 @@ class SimulationResult:
     table: CountTable
     trials: int
     discarded: int = 0
-    #: Per-trial records (x, y, a, b) with a, b in {-1, 1} or 'u' for a
-    #: discarded no-click; None unless a log was requested.
-    log: list | None = None
+    #: int8 index into TRIAL_CELLS of each trial, in temporal order; None
+    #: unless a log was requested.
+    log: np.ndarray | None = None
 
 
-#: (x, y, a, b) record and log text of each cell of a flattened `joint_law`.
-_CELLS = tuple((x, y, a, b) for a in (-1, 1, "u") for b in (-1, 1, "u")
-               for x in (0, 1) for y in (0, 1))
-_CELL_TEXT = {cell: ",".join(map(str, cell)) for cell in _CELLS}
+#: (x, y, a, b) record of cell ((ia*3 + ib)*2 + x)*2 + y of a flattened
+#: `joint_law`, where ia, ib = 0, 1, 2 stand for a, b = -1, 1, u (no-click).
+TRIAL_CELLS = tuple((x, y, a, b) for a in (-1, 1, "u") for b in (-1, 1, "u")
+                    for x in (0, 1) for y in (0, 1))
+#: Log text of each cell, and its inverse.
+_CELL_TEXT = [",".join(map(str, cell)) for cell in TRIAL_CELLS]
+_TEXT_CELL = {text: cell for cell, text in enumerate(_CELL_TEXT)}
 
 
 def _detection_channel(eta: float, dark_prob: float, binned: bool) -> np.ndarray:
@@ -202,7 +208,7 @@ def simulate_trials(rho, settings, det: DetectionModel, setting_dist,
     law = joint_law(rho, settings, det, setting_dist).ravel()
 
     cells = np.zeros(law.size, dtype=np.int64)
-    log = [] if keep_log else None
+    orders = []
     shard_sizes = [trials // shards + (1 if i < trials % shards else 0)
                    for i in range(shards)]
     for size, ss in zip(shard_sizes, np.random.SeedSequence(seed).spawn(shards)):
@@ -212,48 +218,51 @@ def simulate_trials(rho, settings, det: DetectionModel, setting_dist,
         if keep_log:
             order = np.repeat(np.arange(law.size, dtype=np.int8), counts)
             rng.shuffle(order)
-            log.extend([_CELLS[i] for i in order.tolist()])
+            orders.append(order)
 
     table = CountTable(cells.reshape(3, 3, 2, 2)[:2, :2])
     return SimulationResult(table=table, trials=trials,
-                            discarded=trials - table.total, log=log)
+                            discarded=trials - table.total,
+                            log=np.concatenate(orders) if keep_log else None)
+
+
+def check_trial_log(log) -> np.ndarray:
+    """log as a 1-D integer array of TRIAL_CELLS indices, else ValueError
+    (a list of (x, y, a, b) tuples would be a 2-D array)."""
+    cells = np.asarray(log)
+    if cells.ndim != 1 or cells.dtype.kind not in "iu" or np.any(
+            (cells < 0) | (cells >= len(TRIAL_CELLS))):
+        raise ValueError(f"a trial log must be a 1-D integer array of TRIAL_CELLS "
+                         f"indices 0..35, got {cells.dtype} of shape {cells.shape}")
+    return cells
 
 
 def trial_log_to_text(log) -> str:
     """Newline-delimited 'trial_index,x,y,a,b' records."""
-    try:
-        return "".join([f"{i},{_CELL_TEXT[r]}\n" for i, r in enumerate(log)])
-    except KeyError as exc:
-        raise ValueError(f"trial record {exc.args[0]!r} is not (x, y, a, b) with "
-                         f"x, y in {{0, 1}} and a, b in {{-1, 1, u}}") from None
+    return "".join([f"{i},{_CELL_TEXT[c]}\n"
+                    for i, c in enumerate(check_trial_log(log).tolist())])
 
 
-_SETTING_TOKENS = {"0": 0, "1": 1}
-_OUTCOME_TOKENS = {"-1": -1, "1": 1, "u": "u"}
-
-
-def parse_trial_log(text: str) -> list:
+def parse_trial_log(text: str) -> np.ndarray:
     """Inverse of trial_log_to_text; validates the alphabet and temporal order."""
-    records = []
+    cells = []
     last = -1
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("trial_index"):
             continue
-        try:
-            idx_s, x_s, y_s, a_s, b_s = line.split(",")
-            idx = int(idx_s)
-            record = (_SETTING_TOKENS[x_s], _SETTING_TOKENS[y_s],
-                      _OUTCOME_TOKENS[a_s], _OUTCOME_TOKENS[b_s])
-        except (ValueError, KeyError):
+        idx_s, _, record = line.partition(",")
+        cell = _TEXT_CELL.get(record)
+        if cell is None or not (idx_s.isascii() and idx_s.isdigit()):
             raise ValueError(f"trial log line {lineno} is not 'index,x,y,a,b' with "
-                             f"x, y in {{0, 1}} and a, b in {{-1, 1, u}}: {line!r}"
-                             ) from None
+                             f"an index of ASCII digits, x, y in {{0, 1}} and "
+                             f"a, b in {{-1, 1, u}}: {line!r}")
+        idx = int(idx_s)
         if idx <= last:
             raise ValueError(f"trial log out of temporal order at index {idx}")
         last = idx
-        records.append(record)
-    return records
+        cells.append(cell)
+    return np.array(cells, dtype=np.int8)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from bellkit.pbr import closest_lhv, pbr_p_value, project_no_signaling
 from bellkit.qstate import (bell_diagonal, concurrence, eof, negativity,
                             one_way_distillable, validate_density_matrix)
 from bellkit.tomo import mle_fit, rho_from_t, simulate_counts
-from bellkit.trial_sim import (DetectionModel, SpacetimeConfig,
+from bellkit.trial_sim import (TRIAL_CELLS, DetectionModel, SpacetimeConfig,
                                behavior_from_counts, largest_remainder,
                                pulse_schedule, simulate_trials,
                                spacetime_check)
@@ -237,7 +237,7 @@ def test_criterion_06_pulse_scheduler_exactness(capsys):
 def test_criterion_07_pbr_hypothesis_test(capsys):
     failures = []
     rng = np.random.default_rng(7)
-    lhv_log = [(int(x), int(y), 1, -1)
+    lhv_log = [TRIAL_CELLS.index((int(x), int(y), 1, -1))
                for x, y in rng.integers(0, 2, size=(30000, 2))]
     if pbr_p_value(lhv_log, block=10000).p_value != 1.0:
         failures.append("deterministic local data did not give p = 1")

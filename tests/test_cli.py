@@ -288,6 +288,65 @@ class TestInputBoundaries:
         csv_path.write_text("a,b,x,y,count\n-1,-1,0,0,9223372036854775807\n")
         assert read_count_csv(str(csv_path)).total == 2 ** 63 - 1
 
+    def test_count_csv_empty_setting_pair_is_config_error(self, tmp_path, capsys):
+        assert self.quantify_counts(tmp_path, ["-1,-1,0,0,5", "1,1,0,1,3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config")
+        assert "counts.csv" in err and "(x=1, y=0)" in err
+
+    def real_config(self, tmp_path, subcommand, key=None, value=None):
+        """A valid config of subcommand; with a key, its first number is value."""
+        payload = {
+            "quantify": {"pairs": [[2.1, 1.0]], "alpha": 1.0},
+            "simulate": {"weights": [0, 0, 1, 0], "settings_deg": [0, 90, 45, -45],
+                         "trials": 1000, "detection": {"eta_a": 0.9},
+                         "setting_dist": [[0.25, 0.25], [0.25, 0.25]]},
+            "interplay": {"measure": "concurrence", "level": 0.4, "alphas": [1.0],
+                          "theta_grid": {"start": 0.0, "stop": 0.5, "num": 3}},
+            "tomo": {"counts_csv": str(self.write_tomo_csv(tmp_path)),
+                     "target_weights": [0.9, 0.1, 0, 0]},
+        }[subcommand]
+        if key is None:
+            return write_config(tmp_path, "r.json", payload)
+        def first_replaced(node):
+            return [first_replaced(node[0]), *node[1:]] if isinstance(node, list) else value
+
+        *path, last = key.split(".")
+        node = payload
+        for part in path:
+            node = node[part]
+        node[last] = first_replaced(node[last])
+        return write_config(tmp_path, "r.json", payload)
+
+    @pytest.mark.parametrize("value", [True, "2.5", float("nan"), float("inf")],
+                             ids=["true", "string", "NaN", "Infinity"])
+    @pytest.mark.parametrize("subcommand,key", [
+        ("quantify", "pairs"), ("quantify", "alpha"), ("simulate", "weights"),
+        ("simulate", "settings_deg"), ("simulate", "setting_dist"),
+        ("simulate", "detection.eta_a"), ("interplay", "level"),
+        ("interplay", "alphas"), ("interplay", "theta_grid.stop"),
+        ("tomo", "target_weights")])
+    def test_non_finite_config_number_rejected(self, tmp_path, capsys, subcommand,
+                                               key, value):
+        cfg = self.real_config(tmp_path, subcommand, key, value)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config") and key in err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    @pytest.mark.parametrize("subcommand", ["quantify", "simulate", "interplay"])
+    def test_real_config_numbers_accepted(self, tmp_path, subcommand):
+        cfg = self.real_config(tmp_path, subcommand)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("value", [[2.1], [[2.1]], {"s": 2.1}, "2.1"])
+    def test_malformed_pairs_rejected(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, "q.json", {"pairs": value})
+        assert main(["quantify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config") and "pairs" in err
+
     def test_unseeded_subcommands_record_null(self, tmp_path):
         cfg = write_config(tmp_path, "q.json", {"pairs": [[2.1, 1.0]]})
         out = tmp_path / "o"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellkit.bell import MeasurementSetting, s_alpha_expected
@@ -49,6 +49,8 @@ angles = st.floats(-np.pi, np.pi)
 class TestSoundness:
     @settings(max_examples=300, deadline=None)
     @given(bell_weights, thetas, alphas)
+    # A near-pure state on which concurrence once lost 1.6e-10 to round-off.
+    @example(np.array([0.0, 0.0, 1.0, 2.0 ** -23]) / (1.0 + 2.0 ** -23), 0.5, 1.0)
     def test_concurrence_maximum_bounds_every_state(self, w, theta, alpha):
         c = min(concurrence(bell_diagonal(w)), 1.0)
         best = max_s_fixed_concurrence(c, theta, alpha).s_alpha

@@ -11,7 +11,8 @@ from bellkit.pbr import (_GAP_TOL_BITS, BehaviorDistribution, LhvModel,
                          kl_divergence, lhv_vertices, pbr_p_value,
                          project_no_signaling)
 from bellkit.qstate import bell_diagonal
-from bellkit.trial_sim import DetectionModel, behavior_from_counts, simulate_trials
+from bellkit.trial_sim import (TRIAL_CELLS, DetectionModel, behavior_from_counts,
+                               simulate_trials)
 
 UNIFORM_XY = np.full((2, 2), 0.25)
 #: Divergences reached by the SLSQP projection that the Newton solver replaced.
@@ -258,7 +259,7 @@ class TestClosestLhv:
 class TestPValue:
     def test_lhv_data_gives_one(self):
         rng = np.random.default_rng(0)
-        log = [(int(x), int(y), 1, 1)
+        log = [TRIAL_CELLS.index((int(x), int(y), 1, 1))
                for x, y in rng.integers(0, 2, size=(10000, 2))]
         result = pbr_p_value(log, block=2500)
         assert result.p_value == 1.0
@@ -294,42 +295,56 @@ class TestPValue:
     def test_ratio_rebuild_after_slsqp_failure_case(self):
         labels = (-1, 1, "u")
         counts = np.array(SLSQP_FAILURE_COUNTS)
-        log = [(x, y, labels[a], labels[b])
+        log = [TRIAL_CELLS.index((x, y, labels[a], labels[b]))
                for (a, b, x, y), n in np.ndenumerate(counts) for _ in range(n)]
         assert len(log) == 10000
-        result = pbr_p_value(log + [(0, 0, 1, 1)], block=10000)
+        result = pbr_p_value(log + [TRIAL_CELLS.index((0, 0, 1, 1))], block=10000)
         assert result.blocks == 2 and result.n_trials == 10001
         assert 0.0 < result.p_value <= 1.0
 
-    @pytest.mark.parametrize("mode", ["di-binary", "post-selection"])
-    def test_block_sums_match_per_trial_loop(self, mode):
-        det = DetectionModel(eta_a=0.99, eta_b=0.99, mode=mode)
-        log = simulate_trials(bell_diagonal([0.02, 0.02, 0.94, 0.02]),
-                              chsh_optimal_settings(), det, UNIFORM_XY, 25000,
-                              seed=8, keep_log=True).log
-        k = 3 if mode == "post-selection" else 2
+    @pytest.mark.parametrize("mode, block, blocks", [
+        pytest.param("di-binary", 10000, 3, id="di-binary"),
+        pytest.param("post-selection", 10000, 3, id="post-selection"),
+        pytest.param("di-binary", 7000, 4, id="di-binary-block-7000"),
+        # A binary first block, with u cells only after it.
+        pytest.param("late-u", 10000, 3, id="late-u"),
+    ])
+    def test_block_sums_match_per_trial_loop(self, mode, block, blocks):
+        def log_of(mode):
+            det = DetectionModel(eta_a=0.99, eta_b=0.99, mode=mode)
+            return simulate_trials(bell_diagonal([0.02, 0.02, 0.94, 0.02]),
+                                   chsh_optimal_settings(), det, UNIFORM_XY, 25000,
+                                   seed=8, keep_log=True).log
+        if mode == "late-u":
+            log = np.concatenate([log_of("di-binary")[:10000],
+                                  log_of("post-selection")[10000:]])
+        else:
+            log = log_of(mode)
+        records = [TRIAL_CELLS[c] for c in log]
+        k = 3 if any("u" in r for r in records) else 2
         index = {-1: 0, 1: 1, "u": 2}
         counts, ratio, log10_sum = np.zeros((k, k, 2, 2)), np.ones((k, k, 2, 2)), 0.0
-        for pos in range(0, len(log), 10000):
+        for pos in range(0, len(log), block):
             if pos:
                 freq = behavior_from_counts(counts + 0.5, "ternary" if k == 3 else "binary")
                 ratio = _ratio_table(freq)[0]
-            for x, y, a, b in log[pos:pos + 10000]:
+            for x, y, a, b in records[pos:pos + block]:
                 counts[index[a], index[b], x, y] += 1
                 log10_sum += np.log10(max(ratio[index[a], index[b], x, y], 1e-300))
-        result = pbr_p_value(log, block=10000)
-        assert result.blocks == 3 and log10_sum > 1.0
+        result = pbr_p_value(log, block=block)
+        assert result.blocks == blocks and log10_sum > 1.0
         assert result.log10_p == pytest.approx(-log10_sum, rel=1e-12)
         p_ns = project_no_signaling(freq)
         gap = certified_gap(p_ns, closest_lhv(p_ns)[0].weights)
         assert result.final_gap_bits == pytest.approx(gap, abs=1e-12)
         assert 0.0 < result.final_gap_bits < _GAP_TOL_BITS
 
-    @pytest.mark.parametrize("bad", [(0, 0, 2, 1), (2, 0, 1, 1), (-1, 0, 1, 1),
-                                     (0, 0, 0, 1)])
+    @pytest.mark.parametrize("bad", [[15, 3, -1], [15, 3, 36],
+                                     np.array([15.0, 3.0]),
+                                     [(0, 0, 1, 1), (1, 1, -1, 1), (0, 0, 0, 1)]])
     def test_out_of_alphabet_record_rejected(self, bad):
-        with pytest.raises(KeyError):
-            pbr_p_value([(0, 0, 1, 1), (1, 1, -1, 1), bad])
+        with pytest.raises(ValueError):
+            pbr_p_value(bad)
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):

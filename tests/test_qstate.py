@@ -83,6 +83,15 @@ class TestMeasures:
             expected = max(0.0, 2.0 * w.max() - 1.0)
             assert concurrence(bell_diagonal(w)) == pytest.approx(expected, abs=1e-9)
 
+    def test_concurrence_near_pure_bell_diagonal(self):
+        # Dirichlet(0.05) puts almost all weight on one Bell state, where the
+        # smallest lambdas are round-off sized.
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            w = rng.dirichlet(np.full(4, 0.05))
+            expected = max(0.0, 2.0 * w.max() - 1.0)
+            assert abs(concurrence(bell_diagonal(w)) - expected) <= 1e-14
+
     def test_concurrence_state_zero(self):
         assert concurrence(bell_diagonal([0.7, 0.3, 0, 0])) == pytest.approx(0.4)
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.stats import chi2
 
 from bellkit.bell import MeasurementSetting, chsh_optimal_settings, s_alpha_from_counts
 from bellkit.qstate import bell_diagonal
-from bellkit.trial_sim import (DetectionModel, SpacetimeConfig,
+from bellkit.trial_sim import (TRIAL_CELLS, DetectionModel, SpacetimeConfig,
                                behavior_from_counts, joint_law,
                                largest_remainder, parse_trial_log,
                                pulse_schedule, simulate_trials,
@@ -17,8 +18,13 @@ from bellkit.trial_sim import (DetectionModel, SpacetimeConfig,
 UNIFORM_XY = np.full((2, 2), 0.25)
 SKEWED_XY = np.array([[0.4, 0.1], [0.3, 0.2]])
 SIGNS = np.array([-1.0, 1.0])
-RECORDS = st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1]),
-                    st.sampled_from([-1, 1, "u"]), st.sampled_from([-1, 1, "u"]))
+RECORDS = st.integers(0, 35)
+
+
+def logs(**size):
+    """Trial logs: int8 columns of TRIAL_CELLS indices."""
+    return st.lists(RECORDS, **size).map(lambda v: np.array(v, dtype=np.int8))
+
 
 def partly_entangled(angle=0.4, visibility=0.9):
     """cos|00> + sin|11> with white noise: its local marginals are not zero."""
@@ -261,7 +267,7 @@ class TestSampling:
         assert plain.discarded == logged.discarded
         rebuilt = np.zeros((2, 2, 2, 2), dtype=np.int64)
         no_clicks = 0
-        for x, y, a, b in logged.log:
+        for x, y, a, b in (TRIAL_CELLS[c] for c in logged.log):
             if "u" in (a, b):
                 no_clicks += 1
             else:
@@ -272,9 +278,10 @@ class TestSampling:
     def test_log_order_is_shuffled(self):
         log = simulate_trials(*case_args(LAW_CASES[1]), SKEWED_XY, 40000, seed=14,
                               keep_log=True).log
-        cells = sorted(set(log), key=str)
-        halves = np.array([[part.count(c) for c in cells]
+        halves = np.array([np.bincount(part, minlength=36)
                            for part in (log[:20000], log[20000:])])
+        cells = np.flatnonzero(halves.sum(axis=0))
+        halves = halves[:, cells]
         expected = np.outer(halves.sum(axis=1), halves.sum(axis=0)) / halves.sum()
         stat = np.sum((halves - expected) ** 2 / expected)
         assert chi2.sf(stat, len(cells) - 1) > 1e-3
@@ -301,9 +308,18 @@ class TestTrialLog:
         det = DetectionModel(eta_a=0.9, eta_b=0.9, mode="post-selection")
         res = simulate_trials(rho, chsh_optimal_settings(), det,
                               UNIFORM_XY, 2000, seed=6, keep_log=True)
-        assert len(res.log) == 2000
+        assert len(res.log) == 2000 and res.log.dtype == np.int8
         text = trial_log_to_text(res.log)
-        assert parse_trial_log(text) == res.log
+        parsed = parse_trial_log(text)
+        assert parsed.dtype == np.int8 and np.array_equal(parsed, res.log)
+
+    def test_text_of_a_fixed_run_is_frozen(self):
+        # SHA-256 of the log text of this run when records were tuples: the
+        # file format and the random stream are unchanged.
+        res = simulate_trials(*case_args(LAW_CASES[1]), SKEWED_XY, 5000, seed=21,
+                              shards=3, keep_log=True)
+        digest = hashlib.sha256(trial_log_to_text(res.log).encode()).hexdigest()
+        assert digest == "ce2fb0a9cc7f8fe67159c8536bfc334d103a729668e3fd68698a4866c1bde81b"
 
     def test_out_of_order_rejected(self):
         with pytest.raises(ValueError):
@@ -317,20 +333,27 @@ class TestTrialLog:
             parse_trial_log(text)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(RECORDS, max_size=40))
+    @given(logs(max_size=40))
     def test_text_round_trip_property(self, log):
-        assert parse_trial_log(trial_log_to_text(log)) == log
+        assert np.array_equal(parse_trial_log(trial_log_to_text(log)), log)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(RECORDS, min_size=1, max_size=20), st.data())
+    @given(logs(min_size=1, max_size=20), st.data())
     def test_random_bad_token_names_its_line(self, log, data):
         lines = trial_log_to_text(log).splitlines()
         row = data.draw(st.integers(0, len(lines) - 1))
-        column = data.draw(st.integers(1, 4))
-        allowed = {"0", "1"} if column <= 2 else {"-1", "1", "u"}
-        token = data.draw(st.one_of(st.sampled_from(["", "+1", "-0", "01", "2", "U"]),
-                                    st.text(alphabet="-+0129u.x", max_size=3))
-                          .filter(lambda t: t not in allowed))
+        column = data.draw(st.integers(0, 4))
+        if column == 0:  # any index that is not ASCII digits
+            token = data.draw(st.one_of(
+                st.sampled_from(["", "+1", "-1", "1_0", "\u0663", "1.0", "0x1"]),
+                st.text(alphabet="-+0129u.x_\u0663", max_size=3))
+                .filter(lambda t: not (t.isascii() and t.isdigit())))
+        else:
+            allowed = {"0", "1"} if column <= 2 else {"-1", "1", "u"}
+            token = data.draw(st.one_of(
+                st.sampled_from(["", "+1", "-0", "01", "2", "U"]),
+                st.text(alphabet="-+0129u.x", max_size=3))
+                .filter(lambda t: t not in allowed))
         fields = lines[row].split(",")
         fields[column] = token
         lines[row] = ",".join(fields)
@@ -338,15 +361,16 @@ class TestTrialLog:
             parse_trial_log("\n".join(lines) + "\n")
 
     def test_writer_rejects_out_of_alphabet_record(self):
-        with pytest.raises(ValueError, match="not \\(x, y, a, b\\)"):
-            trial_log_to_text([(0, 0, 1, 1), (0, 2, 1, 1)])
+        for log in ([0, 36], [-1], np.zeros((2, 4), dtype=np.int8)):
+            with pytest.raises(ValueError, match="1-D integer array of TRIAL_CELLS"):
+                trial_log_to_text(log)
 
     def test_log_matches_counts(self):
         rho = bell_diagonal([0.5, 0.5, 0, 0])
         res = simulate_trials(rho, chsh_optimal_settings(), DetectionModel(),
                               UNIFORM_XY, 5000, seed=7, keep_log=True)
         rebuilt = np.zeros((2, 2, 2, 2), dtype=np.int64)
-        for x, y, a, b in res.log:
+        for x, y, a, b in (TRIAL_CELLS[c] for c in res.log):
             rebuilt[(a + 1) // 2, (b + 1) // 2, x, y] += 1
         assert np.array_equal(rebuilt, res.table.counts)
 
