@@ -19,9 +19,10 @@ from . import __version__
 from .bell import (CountTable, EmptySettingError, MeasurementSetting,
                    s_alpha_from_counts)
 from .di_bounds import quantify as di_quantify
+from .interplay import MEASURES as INTERPLAY_MEASURES
 from .interplay import trajectory, trajectory_to_csv
 from .pbr import pbr_p_value
-from .qstate import bell_diagonal, fidelity
+from .qstate import InvalidStateError, bell_diagonal, fidelity
 from .tomo import BASIS_LABELS, mle_fit
 from .trial_sim import (DetectionModel, SpacetimeConfig, parse_trial_log,
                         simulate_trials, spacetime_check, trial_log_to_text)
@@ -85,6 +86,15 @@ def _number(value, key: str, shape: tuple = ()):
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
+def _bell_diagonal(value, key: str):
+    """The Bell-diagonal state of config weights; invalid weights are a ConfigError."""
+    weights = _number(value, key, (4,))
+    try:
+        return bell_diagonal(weights)
+    except InvalidStateError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _load_config(path: str, subcommand: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -110,8 +120,14 @@ def _load_config(path: str, subcommand: str) -> dict:
                 raise ConfigError(f"unknown keys in {key}: {sorted(bad)}")
     # simulate's trial_log is a flag; only pbr reads a trial log.
     for key in ("trial_log",) if subcommand == "pbr" else ("counts_csv",):
-        if key in cfg and isinstance(cfg[key], str) and not os.path.exists(cfg[key]):
+        if key not in cfg:
+            continue
+        if not isinstance(cfg[key], str):
+            raise ConfigError(f"{key} must be a path string, got {cfg[key]!r}")
+        if not os.path.exists(cfg[key]):
             raise ConfigError(f"input path does not exist: {cfg[key]}")
+        if not os.path.isfile(cfg[key]):
+            raise ConfigError(f"{key} is not a regular file: {cfg[key]}")
     return cfg
 
 
@@ -237,12 +253,15 @@ def _cmd_simulate(cfg: dict, out_dir: str, seed) -> list[str]:
     for key in ("weights", "settings_deg", "trials"):
         if key not in cfg:
             raise ConfigError(f"simulate config missing {key!r}")
-    rho = bell_diagonal(_number(cfg["weights"], "weights", (4,)))
+    rho = _bell_diagonal(cfg["weights"], "weights")
     settings = tuple(MeasurementSetting.from_degrees(d)  # (A0, A1, B0, B1)
                      for d in _number(cfg["settings_deg"], "settings_deg", (4,)))
     det_cfg = {key: value if key == "mode" else _number(value, f"detection.{key}")
                for key, value in cfg.get("detection", {}).items()}
-    det = DetectionModel(**det_cfg)
+    try:
+        det = DetectionModel(**det_cfg)
+    except ValueError as exc:
+        raise ConfigError(f"detection: {exc}") from None
     dist = np.asarray(_number(cfg.get("setting_dist", [[0.25, 0.25], [0.25, 0.25]]),
                               "setting_dist", (2, 2)))
     keep_log = cfg.get("trial_log", False)
@@ -279,6 +298,9 @@ def _cmd_interplay(cfg: dict, out_dir: str, seed) -> list[str]:
                        _number(grid_cfg.get("stop", np.pi / 4), "theta_grid.stop"),
                        _integer(grid_cfg["num"], "theta_grid.num"))
     level = _number(cfg["level"], "level")
+    if not isinstance(cfg["measure"], str) or cfg["measure"] not in INTERPLAY_MEASURES:
+        raise ConfigError(f"measure must be one of {list(INTERPLAY_MEASURES)}, "
+                          f"got {cfg['measure']!r}")
     alphas = cfg.get("alphas", [1.0])
     outputs = []
     # Each output file is named after the alpha as the config writes it.
@@ -294,11 +316,13 @@ def _cmd_interplay(cfg: dict, out_dir: str, seed) -> list[str]:
 def _cmd_pbr(cfg: dict, out_dir: str, seed) -> list[str]:
     if "trial_log" not in cfg:
         raise ConfigError("pbr config missing 'trial_log'")
-    with open(cfg["trial_log"]) as fh:
+    with open(cfg["trial_log"], "rb") as fh:
         try:
             cells = parse_trial_log(fh.read())
         except ValueError as exc:
             raise ConfigError(f"{cfg['trial_log']}: {exc}") from None
+    if cells.size == 0:
+        raise ConfigError(f"{cfg['trial_log']}: the trial log has no records")
     result = pbr_p_value(cells, block=_integer(cfg.get("block", 10000), "block"))
     path = os.path.join(out_dir, "pbr.json")
     with open(path, "w") as fh:
@@ -312,7 +336,7 @@ def _cmd_tomo(cfg: dict, out_dir: str, seed) -> list[str]:
         raise ConfigError("tomo config missing 'counts_csv'")
     counts = read_tomo_csv(cfg["counts_csv"])
     if "target_weights" in cfg:
-        target = bell_diagonal(_number(cfg["target_weights"], "target_weights", (4,)))
+        target = _bell_diagonal(cfg["target_weights"], "target_weights")
     rho_hat, final_l = mle_fit(counts, seed=seed)
     payload = {"rho": _rho_to_json(rho_hat), "final_likelihood": final_l}
     if "target_weights" in cfg:
@@ -327,7 +351,11 @@ def _cmd_tomo(cfg: dict, out_dir: str, seed) -> list[str]:
 def _cmd_spacetime(cfg: dict, out_dir: str, seed) -> list[str]:
     if "spacetime" not in cfg:
         raise ConfigError("spacetime config missing 'spacetime' block")
-    result = spacetime_check(SpacetimeConfig(**cfg["spacetime"]))
+    missing = _SPACETIME_KEYS - set(cfg["spacetime"])
+    if missing:
+        raise ConfigError(f"spacetime block missing keys: {sorted(missing)}")
+    result = spacetime_check(SpacetimeConfig(**{
+        key: _number(value, f"spacetime.{key}") for key, value in cfg["spacetime"].items()}))
     for name in ("locality_1", "locality_2", "mi_a", "mi_b"):
         print(f"{name} margin_ns={result[name]:.2f}")
     print("pass" if result["pass"] else "fail")

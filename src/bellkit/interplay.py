@@ -34,6 +34,7 @@ __all__ = [
     "CalibrationFit",
     "InfeasibleConstraintError",
     "DegenerateFitError",
+    "MEASURES",
     "max_s_fixed_concurrence",
     "max_s_fixed_ode",
     "trajectory",
@@ -158,6 +159,10 @@ def max_s_fixed_ode(ode: float, theta: float, alpha: float = 1.0) -> InterplayPo
     return _point(theta, alpha, _gibbs(c, beta))
 
 
+#: Solver of each fixed-entanglement measure of `trajectory`.
+MEASURES = {"concurrence": max_s_fixed_concurrence, "ode": max_s_fixed_ode}
+
+
 def trajectory(measure: str, level: float, alpha: float,
                theta_grid) -> list[InterplayPoint]:
     """Per-theta maxima along a sorted grid in [0, pi/4].
@@ -165,13 +170,12 @@ def trajectory(measure: str, level: float, alpha: float,
     measure is 'concurrence' or 'ode'; level is the fixed entanglement
     value.
     """
-    solvers = {"concurrence": max_s_fixed_concurrence, "ode": max_s_fixed_ode}
-    if measure not in solvers:
-        raise ValueError(f"measure must be one of {sorted(solvers)}, got {measure!r}")
+    if measure not in MEASURES:
+        raise ValueError(f"measure must be one of {list(MEASURES)}, got {measure!r}")
     grid = np.asarray(theta_grid, dtype=float)
     if np.any(np.diff(grid) < 0):
         raise ValueError("theta grid must be sorted")
-    solve = solvers[measure]
+    solve = MEASURES[measure]
     return [solve(level, t, alpha) for t in grid]
 
 

@@ -148,9 +148,6 @@ class SimulationResult:
 #: `joint_law`, where ia, ib = 0, 1, 2 stand for a, b = -1, 1, u (no-click).
 TRIAL_CELLS = tuple((x, y, a, b) for a in (-1, 1, "u") for b in (-1, 1, "u")
                     for x in (0, 1) for y in (0, 1))
-#: Log text of each cell, and its inverse.
-_CELL_TEXT = [",".join(map(str, cell)) for cell in TRIAL_CELLS]
-_TEXT_CELL = {text: cell for cell, text in enumerate(_CELL_TEXT)}
 
 
 def _detection_channel(eta: float, dark_prob: float, binned: bool) -> np.ndarray:
@@ -238,31 +235,28 @@ def check_trial_log(log) -> np.ndarray:
 
 
 def trial_log_to_text(log) -> str:
-    """Newline-delimited 'trial_index,x,y,a,b' records."""
-    return "".join([f"{i},{_CELL_TEXT[c]}\n"
-                    for i, c in enumerate(check_trial_log(log).tolist())])
+    """Newline-delimited 'trial_index,x,y,a,b' records, indexed from 0."""
+    from .trial_log import to_text  # compiled on first use: a count-only run skips it
+
+    return to_text(check_trial_log(log))
 
 
-def parse_trial_log(text: str) -> np.ndarray:
-    """Inverse of trial_log_to_text; validates the alphabet and temporal order."""
-    cells = []
-    last = -1
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("trial_index"):
-            continue
-        idx_s, _, record = line.partition(",")
-        cell = _TEXT_CELL.get(record)
-        if cell is None or not (idx_s.isascii() and idx_s.isdigit()):
-            raise ValueError(f"trial log line {lineno} is not 'index,x,y,a,b' with "
-                             f"an index of ASCII digits, x, y in {{0, 1}} and "
-                             f"a, b in {{-1, 1, u}}: {line!r}")
-        idx = int(idx_s)
-        if idx <= last:
-            raise ValueError(f"trial log out of temporal order at index {idx}")
-        last = idx
-        cells.append(cell)
-    return np.array(cells, dtype=np.int8)
+def parse_trial_log(text: str | bytes) -> np.ndarray:
+    """Inverse of trial_log_to_text: the int8 TRIAL_CELLS column of a log.
+
+    The log is ASCII (str input is encoded to UTF-8 first, so any other
+    character makes a bad line), with lines ending in '\\n' or '\\r\\n'.
+    ASCII whitespace around a line is ignored, and blank lines and lines
+    that start with 'trial_index' (a header) are skipped.  Every other
+    line is 'index,x,y,a,b' with x, y in {0, 1}, a, b in {-1, 1, u} and an
+    index of ASCII digits that fits in int64 and is larger than the index
+    of the line before.  Anything else is a ValueError that names and
+    quotes the first bad line.  The lines are parsed about 256 KiB at a
+    time, so the temporaries do not grow with the log.
+    """
+    from .trial_log import parse
+
+    return parse(text)
 
 
 @dataclass

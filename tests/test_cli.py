@@ -144,6 +144,37 @@ class TestInputBoundaries:
         assert "line 3" in err and bad in err
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
+    def run_pbr(self, tmp_path, data: bytes):
+        log = tmp_path / "trials.log"
+        log.write_bytes(data)
+        cfg = write_config(tmp_path, "p.json", {"trial_log": str(log)})
+        return main(["pbr", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("data", [b"", b"\n \n", b"trial_index,x,y,a,b\r\n\t\r\n"],
+                             ids=["empty", "blank", "header-only"])
+    def test_trial_log_without_records_is_config_error(self, tmp_path, capsys, data):
+        assert self.run_pbr(tmp_path, data) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config")
+        assert "trials.log" in err and "no records" in err
+
+    def test_trial_log_non_ascii_byte_names_its_line(self, tmp_path, capsys):
+        assert self.run_pbr(tmp_path, b"0,0,0,1,1\r\n1,0,0,1,\xe9\r\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config") and "line 2 is not" in err
+
+    @pytest.mark.parametrize("subcommand,key", [
+        ("pbr", "trial_log"), ("quantify", "counts_csv"), ("tomo", "counts_csv")])
+    @pytest.mark.parametrize("kind", ["directory", "number"])
+    def test_input_path_must_be_a_regular_file(self, tmp_path, capsys, subcommand, key,
+                                               kind):
+        path = str(tmp_path) if kind == "directory" else 5
+        cfg = write_config(tmp_path, "c.json", {key: path})
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config")
+        assert key in err and json.dumps(str(path))[1:-1] in err
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 2 ** 40), min_size=16, max_size=16))
     def test_count_csv_round_trip_property(self, tmp_path_factory, counts):
@@ -340,6 +371,33 @@ class TestInputBoundaries:
         cfg = self.real_config(tmp_path, subcommand)
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("subcommand,key,value", [
+        ("simulate", "weights", [0.5, 0.5, 0.5, 0]),
+        ("simulate", "weights", [1.5, -0.5, 0, 0]),
+        ("simulate", "detection.eta_a", 1.5),
+        ("simulate", "detection.eta_b", -0.1),
+        ("simulate", "detection.dark_prob", 2.0),
+        ("simulate", "detection.mode", "bogus"),
+        ("interplay", "measure", "bogus"),
+        ("interplay", "measure", ["ode"]),
+        ("tomo", "target_weights", [0.5, 0.5, 0.5, 0])])
+    def test_domain_fault_in_config_is_config_error(self, tmp_path, capsys, subcommand,
+                                                    key, value):
+        self.real_config(tmp_path, subcommand)
+        payload = json.loads((tmp_path / "r.json").read_text())
+        *path, last = key.split(".")
+        node = payload
+        for part in path:
+            node = node.setdefault(part, {})
+        node[last] = value
+        cfg = write_config(tmp_path, "r.json", payload)
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config")
+        assert all(part in err for part in key.split("."))
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
     @pytest.mark.parametrize("value", [[2.1], [[2.1]], {"s": 2.1}, "2.1"])
     def test_malformed_pairs_rejected(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, "q.json", {"pairs": value})
@@ -481,6 +539,23 @@ class TestSpacetime:
         assert "pass" in stdout
         result = json.loads((out / "spacetime.json").read_text())
         assert result["pass"] is True
+
+    @pytest.mark.parametrize("key,value", [("ab_m", float("nan")), ("ab_m", "x"),
+                                           ("t_m2", True), ("lsb_m", float("inf"))])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "st.json", {"spacetime": {**SPACETIME_BLOCK, key: value}})
+        out = tmp_path / "o"
+        assert main(["spacetime", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config") and f"spacetime.{key}" in err
+        assert not (out / "spacetime.json").exists()
+
+    def test_missing_keys_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "st.json", {"spacetime": {"ab_m": 163}})
+        assert main(["spacetime", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config")
+        assert all(key in err for key in SPACETIME_BLOCK if key != "ab_m")
 
     def test_failure_manifest_written(self, tmp_path, capsys):
         block = dict(SPACETIME_BLOCK)

@@ -1,5 +1,7 @@
 import hashlib
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bellkit.bell import MeasurementSetting, chsh_optimal_settings, s_alpha_from_counts
+from bellkit import trial_log
 from bellkit.qstate import bell_diagonal
 from bellkit.trial_sim import (TRIAL_CELLS, DetectionModel, SpacetimeConfig,
                                behavior_from_counts, joint_law,
@@ -24,6 +27,70 @@ RECORDS = st.integers(0, 35)
 def logs(**size):
     """Trial logs: int8 columns of TRIAL_CELLS indices."""
     return st.lists(RECORDS, **size).map(lambda v: np.array(v, dtype=np.int8))
+
+
+#: Log text of each cell, and the per-line reference codec that the numpy
+#: codec of bellkit.trial_log replaced; its order error also names the line.
+CELL_TEXT = [",".join(map(str, cell)) for cell in TRIAL_CELLS]
+TEXT_CELL = {text: cell for cell, text in enumerate(CELL_TEXT)}
+
+
+def reference_text(log) -> str:
+    return "".join([f"{i},{CELL_TEXT[c]}\n" for i, c in enumerate(np.asarray(log).tolist())])
+
+
+def reference_parse(text: str) -> np.ndarray:
+    cells = []
+    last = -1
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("trial_index"):
+            continue
+        idx_s, _, record = line.partition(",")
+        cell = TEXT_CELL.get(record)
+        if cell is None or not (idx_s.isascii() and idx_s.isdigit()):
+            raise ValueError(f"trial log line {lineno} is not 'index,x,y,a,b': {line!r}")
+        idx = int(idx_s)
+        if idx <= last:
+            raise ValueError(f"trial log line {lineno} out of temporal order at index {idx}")
+        last = idx
+        cells.append(cell)
+    return np.array(cells, dtype=np.int8)
+
+
+def parse_outcome(parse, text):
+    """(cells, None) if parse accepts text, else (None, the line its error names)."""
+    try:
+        return parse(text).tolist(), None
+    except ValueError as exc:
+        return None, int(re.search(r"line (\d+)", str(exc)).group(1))
+
+
+#: Characters of a corrupted token: printable ASCII, and other characters that
+#: neither str.strip nor str.splitlines treats as white space.
+TOKEN_CHARS = st.one_of(st.characters(min_codepoint=0x20, max_codepoint=0x7e),
+                        st.characters(min_codepoint=0x80).filter(lambda c: not c.isspace()))
+
+
+@st.composite
+def log_texts(draw):
+    """Log text with blank, header and padded lines, '\\n' or '\\r\\n' line
+    ends, and at most one corrupted token."""
+    lines = reference_text(draw(logs(max_size=30))).splitlines()
+    if lines and draw(st.booleans()):
+        row = draw(st.integers(0, len(lines) - 1))
+        fields = lines[row].split(",")
+        fields[draw(st.integers(0, 4))] = draw(st.one_of(
+            st.text(TOKEN_CHARS, max_size=4), st.integers(0, 40).map(str)))
+        lines[row] = ",".join(fields)
+    pad = st.text(" \t", max_size=2)
+    extra = st.sampled_from(["", " ", "\t ", "trial_index,x,y,a,b", " trial_index"])
+    out = []
+    for line in lines:
+        out += draw(st.lists(extra, max_size=2))
+        out.append(draw(pad) + line + draw(pad))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(out) + draw(st.sampled_from(["", newline]))
 
 
 def partly_entangled(angle=0.4, visibility=0.9):
@@ -359,6 +426,71 @@ class TestTrialLog:
         lines[row] = ",".join(fields)
         with pytest.raises(ValueError, match=f"line {row + 1} is not"):
             parse_trial_log("\n".join(lines) + "\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_texts(), st.sampled_from([None, 8, 40]))
+    def test_parser_matches_reference(self, text, chunk_bytes):
+        # chunk_bytes: parse in chunks of that many bytes (None: the default)
+        expected = parse_outcome(reference_parse, text)
+        with mock.patch.object(trial_log, "_CHUNK_BYTES",
+                               chunk_bytes or trial_log._CHUNK_BYTES):
+            assert parse_outcome(parse_trial_log, text) == expected
+            assert parse_outcome(parse_trial_log,
+                                 text.encode("utf-8", "surrogatepass")) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(logs(max_size=130), st.sampled_from([None, 1, 7, 100]))
+    def test_writer_matches_reference(self, log, chunk):
+        with mock.patch.object(trial_log, "_CHUNK", chunk or trial_log._CHUNK):
+            assert trial_log_to_text(log) == reference_text(log)
+
+    def test_round_trip_across_chunks(self):
+        log = np.random.default_rng(15).integers(0, 36, 2 ** 20 + 3).astype(np.int8)
+        text = trial_log_to_text(log)
+        assert text == reference_text(log)
+        data = text.encode()
+        assert len(data) > 3 * trial_log._CHUNK_BYTES and len(log) > 3 * trial_log._CHUNK
+        assert np.array_equal(parse_trial_log(data), log)
+        # A bad line and an out-of-order line past the first chunks name their lines.
+        at = data.index(b"\n1000000,") + 1
+        with pytest.raises(ValueError, match="line 1000001 is not"):
+            parse_trial_log(data[:at] + b"x" + data[at:])
+        with pytest.raises(ValueError, match="line 1000002 is out of temporal order"):
+            parse_trial_log(data[:at] + b"99999999,0,0,1,1\n" + data[at:])
+
+    @pytest.mark.parametrize("index", ["9223372036854775807",
+                                       "0000000000000000000000000000000000001"])
+    def test_index_in_int64_accepted(self, index):
+        assert parse_trial_log(f"0,0,0,1,1\n{index},1,1,u,-1\n").tolist() == [
+            TRIAL_CELLS.index((0, 0, 1, 1)), TRIAL_CELLS.index((1, 1, "u", -1))]
+
+    @pytest.mark.parametrize("index", ["9223372036854775808", "18446744073709551616",
+                                       "00000000000000000000009223372036854775808",
+                                       "99999999999999999999999999999999999999"])
+    def test_index_above_int64_names_its_line(self, index):
+        with pytest.raises(ValueError, match="line 3 has an index above the int64 max"):
+            parse_trial_log(f"0,0,0,1,1\n\n{index},1,1,u,-1\n")
+
+    @pytest.mark.parametrize("text", [b"0,0,0,1,1\n1,0,0,1,\xff\n",
+                                      "0,0,0,1,1\n1,0,0,1,1\u00a0\n",
+                                      "0,0,0,1,1\n\u0661,0,0,1,1\n",
+                                      b"0,0,0,1,1\n1,0,0\r,1,1\n",
+                                      "0,0,0,1,1\n1x000000000000000000001,0,0,1,1\n"])
+    def test_bad_byte_names_its_line(self, text):
+        with pytest.raises(ValueError, match="line 2 is not"):
+            parse_trial_log(text)
+
+    @pytest.mark.parametrize("index", [3, 5])
+    def test_order_is_checked_across_chunks(self, index):
+        text = f"0,0,0,1,1\n5,0,0,1,1\n{index},0,0,1,1\n"
+        with mock.patch.object(trial_log, "_CHUNK_BYTES", 1):
+            with pytest.raises(ValueError, match="line 3 is out of temporal order"):
+                parse_trial_log(text)
+
+    def test_padding_blank_header_and_crlf_skipped(self):
+        text = "trial_index,x,y,a,b\r\n \t\r\n\t3,1,0,-1,u \r\n\r\n 7,0,1,1,1"
+        assert parse_trial_log(text).tolist() == [TRIAL_CELLS.index((1, 0, -1, "u")),
+                                                  TRIAL_CELLS.index((0, 1, 1, 1))]
 
     def test_writer_rejects_out_of_alphabet_record(self):
         for log in ([0, 36], [-1], np.zeros((2, 4), dtype=np.int8)):
