@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import PAULI, validate_density_matrix
+from .qstate import PAULI, pauli_moments, validate_density_matrix
 
 __all__ = [
     "MeasurementSetting",
@@ -127,11 +127,9 @@ def _check_alpha(alpha: float):
 
 def _moments_expected(rho, a0, a1, b0, b1) -> np.ndarray:
     """Exact moments M[i, j] = Tr(rho O_i x O_j), O = (I, A0, A1) and (I, B0, B1)."""
-    rho = validate_density_matrix(rho)
-    ops_a = (PAULI["I"], a0.observable, a1.observable)
-    ops_b = (PAULI["I"], b0.observable, b1.observable)
-    return np.array([[np.trace(rho @ np.kron(oa, ob)).real for ob in ops_b]
-                     for oa in ops_a])
+    def rows(s0, s1):  # each observable in the Pauli basis (I, x, y, z)
+        return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, *s0.bloch], [0.0, *s1.bloch]])
+    return rows(a0, a1) @ pauli_moments(validate_density_matrix(rho)) @ rows(b0, b1).T
 
 
 def correlators_expected(rho, a0: MeasurementSetting, a1: MeasurementSetting,

@@ -20,7 +20,7 @@ from .bell import (CountTable, EmptySettingError, MeasurementSetting,
                    s_alpha_from_counts)
 from .di_bounds import quantify as di_quantify
 from .interplay import MEASURES as INTERPLAY_MEASURES
-from .interplay import trajectory, trajectory_to_csv
+from .interplay import InfeasibleConstraintError, trajectory, trajectory_to_csv
 from .pbr import pbr_p_value
 from .qstate import InvalidStateError, bell_diagonal, fidelity
 from .tomo import BASIS_LABELS, mle_fit
@@ -264,12 +264,18 @@ def _cmd_simulate(cfg: dict, out_dir: str, seed) -> list[str]:
         raise ConfigError(f"detection: {exc}") from None
     dist = np.asarray(_number(cfg.get("setting_dist", [[0.25, 0.25], [0.25, 0.25]]),
                               "setting_dist", (2, 2)))
+    if np.any(dist < 0) or abs(dist.sum() - 1.0) > 1e-10:
+        raise ConfigError(f"setting_dist must be a 2x2 probability array, "
+                          f"got {dist.tolist()}")
+    trials = _integer(cfg["trials"], "trials")
+    shards = _integer(cfg.get("shards", 1), "shards")
+    for key, n in (("trials", trials), ("shards", shards)):
+        if n < 1:
+            raise ConfigError(f"{key} must be >= 1, got {n}")
     keep_log = cfg.get("trial_log", False)
     if not isinstance(keep_log, bool):
         raise ConfigError(f"trial_log must be true or false, got {keep_log!r}")
-    result = simulate_trials(rho, settings, det, dist, _integer(cfg["trials"], "trials"),
-                             seed=seed,
-                             shards=_integer(cfg.get("shards", 1), "shards"),
+    result = simulate_trials(rho, settings, det, dist, trials, seed=seed, shards=shards,
                              keep_log=keep_log)
     outputs = []
     counts_path = os.path.join(out_dir, "counts.csv")
@@ -294,9 +300,11 @@ def _cmd_interplay(cfg: dict, out_dir: str, seed) -> list[str]:
         if key not in cfg:
             raise ConfigError(f"interplay config missing {key!r}")
     grid_cfg = cfg["theta_grid"]
-    grid = np.linspace(_number(grid_cfg.get("start", 0.0), "theta_grid.start"),
-                       _number(grid_cfg.get("stop", np.pi / 4), "theta_grid.stop"),
-                       _integer(grid_cfg["num"], "theta_grid.num"))
+    start = _number(grid_cfg.get("start", 0.0), "theta_grid.start")
+    stop = _number(grid_cfg.get("stop", np.pi / 4), "theta_grid.stop")
+    if start > stop:
+        raise ConfigError(f"theta_grid.start {start} exceeds theta_grid.stop {stop}")
+    grid = np.linspace(start, stop, _integer(grid_cfg["num"], "theta_grid.num"))
     level = _number(cfg["level"], "level")
     if not isinstance(cfg["measure"], str) or cfg["measure"] not in INTERPLAY_MEASURES:
         raise ConfigError(f"measure must be one of {list(INTERPLAY_MEASURES)}, "
@@ -305,7 +313,10 @@ def _cmd_interplay(cfg: dict, out_dir: str, seed) -> list[str]:
     outputs = []
     # Each output file is named after the alpha as the config writes it.
     for alpha, value in zip(alphas, _number(alphas, "alphas", (None,))):
-        points = trajectory(cfg["measure"], level, value, grid)
+        try:
+            points = trajectory(cfg["measure"], level, value, grid)
+        except InfeasibleConstraintError as exc:
+            raise ConfigError(f"level: {exc}") from None
         path = os.path.join(out_dir, f"interplay_alpha{alpha}.csv")
         with open(path, "w") as fh:
             fh.write(trajectory_to_csv(points))

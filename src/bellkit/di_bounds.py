@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bell import _check_alpha, _s_alpha
+
 __all__ = [
     "QuantumBoundExceededError",
     "InfeasibleBellValueError",
@@ -38,11 +40,6 @@ class QuantumBoundExceededError(ValueError):
 
 class InfeasibleBellValueError(ValueError):
     """No realization in the optimization model attains the requested value."""
-
-
-def _check_alpha(alpha: float):
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
 
 
 def _check_quantum_bound(s: float, alpha: float):
@@ -119,8 +116,7 @@ def _chsh_of_alpha_optimal(t: float, alpha: float, side: str) -> float:
     """Standard CHSH value of the S_alpha-maximizing realization at
     incompatibility level t = min{c, 1-c} of the named side."""
     phi = 2.0 * np.arcsin(np.sqrt(np.clip(t, 0.0, 0.5)))
-    _, e = _best_realization(phi, alpha, side)
-    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+    return _s_alpha(_best_realization(phi, alpha, side)[1], 1.0)
 
 
 def multi_alpha_incompatibility_bound(s: float, alpha: float = 1.0, side: str = "A",
@@ -131,8 +127,12 @@ def multi_alpha_incompatibility_bound(s: float, alpha: float = 1.0, side: str = 
     S_alpha realization (two-qubit state, planar projective
     measurements) is computed; inverting the monotone map from t to the
     standard CHSH value of that realization against the observed value
-    s gives the certified level.  At alpha = 1 this reproduces the
-    closed form of incompatibility_lower_bound.
+    s gives the level.  At alpha = 1 this reproduces the closed form of
+    incompatibility_lower_bound.  For alpha > 1 it assumes the data came
+    from that S_alpha-optimal realization; other realizations reach the
+    same CHSH value with less incompatibility (CHSH 2.0098: 1.10e-4 at
+    alpha = 1.04 against 2.41e-5 for the alpha = 1 optimum), so it is
+    an estimate under that assumption, not a device-independent bound.
 
     Overlap convention for projective qubit pairs: c = cos^2(phi/2)
     with phi the Bloch angle between the observables.

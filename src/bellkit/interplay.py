@@ -24,36 +24,24 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import brentq
 
-from .qstate import validate_weights
+from .qstate import BELL_STATE_CORRELATIONS, validate_weights
 
 __all__ = [
     "InterplayPoint",
-    "CalibrationFit",
     "InfeasibleConstraintError",
-    "DegenerateFitError",
     "MEASURES",
     "max_s_fixed_concurrence",
     "max_s_fixed_ode",
     "trajectory",
     "trajectory_to_csv",
     "fixed_state_curve",
-    "fit_calibration_shifts",
 ]
-
-# Correlation-tensor rows in terms of Bell weights (Psi+, Psi-, Phi+, Phi-).
-_TX = np.array([1.0, -1.0, 1.0, -1.0])
-_TZ = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
 class InfeasibleConstraintError(ValueError):
     """The entanglement constraint cannot be met by any Bell-diagonal state."""
-
-
-class DegenerateFitError(ValueError):
-    """Calibration fit attempted against a (near-)flat model curve."""
 
 
 @dataclass
@@ -67,13 +55,6 @@ class InterplayPoint:
         self.weights = validate_weights(self.weights, atol=1e-9)
 
 
-@dataclass
-class CalibrationFit:
-    angle_offset: float  # radians
-    visibility: float
-    residual: float      # RMS of the fitted residuals
-
-
 def _check_theta(theta: float):
     if not -1e-12 <= theta <= np.pi / 4 + 1e-12:
         raise ValueError(f"theta = {theta} outside [0, pi/4]")
@@ -85,7 +66,8 @@ def _objective_coeffs(theta: float, alpha: float) -> np.ndarray:
     The components take all four values +/-2a cos(t) +/-2 sin(t), so any
     relabeling (T_zz, T_xx) -> (+/-T_zz, +/-T_xx) permutes them.
     """
-    return 2.0 * alpha * np.cos(theta) * _TZ + 2.0 * np.sin(theta) * _TX
+    t_xx, _, t_zz = BELL_STATE_CORRELATIONS.T
+    return 2.0 * alpha * np.cos(theta) * t_zz + 2.0 * np.sin(theta) * t_xx
 
 
 def _point(theta, alpha, weights) -> InterplayPoint:
@@ -181,10 +163,9 @@ def trajectory(measure: str, level: float, alpha: float,
 
 def fixed_state_curve(weights, alpha: float, theta_grid) -> np.ndarray:
     """Sign-optimal S_alpha of one fixed Bell-diagonal state along a grid."""
-    w = validate_weights(weights)
+    t_xx, _, t_zz = np.abs(validate_weights(weights) @ BELL_STATE_CORRELATIONS)
     grid = np.asarray(theta_grid, dtype=float)
-    return (2.0 * alpha * np.cos(grid) * abs(w @ _TZ)
-            + 2.0 * np.sin(grid) * abs(w @ _TX))
+    return 2.0 * alpha * np.cos(grid) * t_zz + 2.0 * np.sin(grid) * t_xx
 
 
 def trajectory_to_csv(points: list[InterplayPoint]) -> str:
@@ -195,30 +176,3 @@ def trajectory_to_csv(points: list[InterplayPoint]) -> str:
         buf.write(f"{p.theta:.12g},{p.incompatibility:.12g},{p.s_alpha:.12g},"
                   f"{w[0]:.12g},{w[1]:.12g},{w[2]:.12g},{w[3]:.12g}\n")
     return buf.getvalue()
-
-
-def fit_calibration_shifts(observed, model: list[InterplayPoint]) -> CalibrationFit:
-    """Least-squares fit S_obs(theta) ~ v * S_model(theta + d_theta).
-
-    observed is a sequence of (theta, S) pairs; the model trajectory is
-    interpolated with a cubic spline.  A white-noise admixture scales
-    every correlator, hence the whole curve, by the visibility v; angle
-    miscalibration shifts the abscissa by d_theta.
-    """
-    obs = np.asarray(list(observed), dtype=float)
-    if obs.ndim != 2 or obs.shape[1] != 2 or obs.shape[0] < 3:
-        raise ValueError("need at least 3 (theta, S) observation pairs")
-    thetas = np.array([p.theta for p in model])
-    values = np.array([p.s_alpha for p in model])
-    if values.max() - values.min() < 1e-9:
-        raise DegenerateFitError("model trajectory is flat; shift is unidentifiable")
-    spline = CubicSpline(thetas, values)
-
-    def residuals(params):
-        d_theta, v = params
-        return obs[:, 1] - v * spline(obs[:, 0] + d_theta)
-
-    fit = least_squares(residuals, x0=[0.0, 1.0], method="lm", xtol=1e-14, ftol=1e-14)
-    rms = float(np.sqrt(np.mean(fit.fun ** 2)))
-    return CalibrationFit(angle_offset=float(fit.x[0]), visibility=float(fit.x[1]),
-                          residual=rms)

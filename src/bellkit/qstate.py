@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "BELL_STATE_LABELS",
     "BELL_STATE_VECTORS",
+    "BELL_STATE_CORRELATIONS",
     "PAULI",
     "InvalidStateError",
     "bell_diagonal",
@@ -24,7 +25,9 @@ __all__ = [
     "eof",
     "negativity",
     "one_way_distillable",
+    "pauli_moments",
     "correlation_tensor",
+    "bell_diagonal_correlation",
     "fidelity",
 ]
 
@@ -43,6 +46,11 @@ BELL_STATE_VECTORS = np.array(
     dtype=complex,
 ) / _SQ2
 
+#: Correlation-tensor diagonal (T_xx, T_yy, T_zz) of each Bell state, in
+#: Bell order; a Bell mixture's tensor is diag(weights @ this table).
+BELL_STATE_CORRELATIONS = np.array([[1, 1, -1], [-1, -1, -1], [1, -1, 1], [-1, 1, 1]],
+                                   dtype=float)
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -51,6 +59,7 @@ PAULI = {
 }
 
 _SIGMA_YY = np.kron(PAULI["y"], PAULI["y"])
+_PAULI_STACK = np.array([PAULI[k] for k in ("I", "x", "y", "z")])
 
 
 class InvalidStateError(ValueError):
@@ -150,24 +159,20 @@ def one_way_distillable(weights) -> float:
     return float(1.0 + np.sum(nz * np.log2(nz)))
 
 
+def pauli_moments(rho) -> np.ndarray:
+    """4x4 matrix M_ij = Tr(rho sigma_i x sigma_j), i, j in (I, x, y, z)."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return np.einsum("abcd,ica,jdb->ij", r, _PAULI_STACK, _PAULI_STACK).real
+
+
 def correlation_tensor(rho) -> np.ndarray:
     """3x3 matrix T_ij = Tr(rho sigma_i x sigma_j), i,j in {x, y, z}."""
-    rho = np.asarray(rho, dtype=complex)
-    axes = ("x", "y", "z")
-    t = np.empty((3, 3))
-    for i, si in enumerate(axes):
-        for j, sj in enumerate(axes):
-            t[i, j] = np.trace(rho @ np.kron(PAULI[si], PAULI[sj])).real
-    return t
+    return pauli_moments(rho)[1:, 1:]
 
 
 def bell_diagonal_correlation(weights) -> np.ndarray:
     """Closed-form diagonal correlation tensor of a Bell-diagonal state."""
-    w = validate_weights(weights)
-    tx = w[0] - w[1] + w[2] - w[3]
-    ty = w[0] - w[1] - w[2] + w[3]
-    tz = -w[0] - w[1] + w[2] + w[3]
-    return np.diag([tx, ty, tz])
+    return np.diag(validate_weights(weights) @ BELL_STATE_CORRELATIONS)
 
 
 def fidelity(rho, sigma) -> float:

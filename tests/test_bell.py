@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from bellkit.bell import (CountTable, EmptySettingError, MeasurementSetting,
-                          RELABELINGS, chsh_optimal_settings,
+                          RELABELINGS, born_behavior, chsh_optimal_settings,
                           correlator_from_counts, correlators_expected,
                           hardware_angles, inverse_hardware_angles,
                           s_alpha_expected, s_alpha_from_counts,
                           sign_optimal_s_alpha)
-from bellkit.qstate import bell_diagonal
+from bellkit.qstate import BELL_STATE_VECTORS, bell_diagonal, correlation_tensor
 
 
 class TestMeasurementSetting:
@@ -56,6 +56,61 @@ class TestExpectedValues:
         with pytest.raises(ValueError):
             s_alpha_expected(rho, *chsh_optimal_settings(), alpha=0.9)
 
+
+
+def kron_trace(rho, ops_a, ops_b) -> np.ndarray:
+    """Reference M[i, j] = Tr(rho O_i x O_j), one product and trace per pair."""
+    return np.array([[np.trace(rho @ np.kron(oa, ob)).real for ob in ops_b]
+                     for oa in ops_a])
+
+
+def random_full_rank_state(rng) -> np.ndarray:
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return (rho + rho.conj().T) / (2 * np.trace(rho).real)
+
+
+class TestKernelAgainstKronTrace:
+    """The einsum moment kernel against explicit Kronecker products and
+    traces, on generic states: full rank and not Bell-diagonal."""
+
+    PAULIS = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+
+    @pytest.fixture(params=range(5))
+    def cases(self, request):
+        rng = np.random.default_rng(request.param)
+        out = []
+        for _ in range(40):
+            rho = random_full_rank_state(rng)
+            in_bell_basis = BELL_STATE_VECTORS.conj() @ rho @ BELL_STATE_VECTORS.T
+            assert np.linalg.eigvalsh(rho).min() > 1e-6
+            assert np.abs(in_bell_basis - np.diag(np.diag(in_bell_basis))).max() > 1e-3
+            settings = [MeasurementSetting(t) for t in rng.uniform(-np.pi, np.pi, 4)]
+            out.append((rho, settings))
+        return out
+
+    def test_correlation_tensor(self, cases):
+        for rho, _ in cases:
+            ref = kron_trace(rho, self.PAULIS[1:], self.PAULIS[1:])
+            assert np.abs(correlation_tensor(rho) - ref).max() <= 1e-14
+
+    def test_correlators_expected(self, cases):
+        for rho, settings in cases:
+            obs = [s.observable for s in settings]
+            ref = kron_trace(rho, obs[:2], obs[2:])
+            assert np.abs(correlators_expected(rho, *settings) - ref).max() <= 1e-14
+
+    def test_born_behavior(self, cases):
+        for rho, settings in cases:
+            # p(ab|xy) = Tr(rho P_a(A_x) x P_b(B_y)), P_a(O) = (I + a O)/2
+            proj = [[(np.eye(2) + a * s.observable) / 2 for a in (-1, 1)]
+                    for s in settings]
+            ref = np.empty((2, 2, 2, 2))
+            for x in (0, 1):
+                for y in (0, 1):
+                    ref[:, :, x, y] = kron_trace(rho, proj[x], proj[2 + y])
+            assert np.abs(born_behavior(rho, *settings) - ref).max() <= 1e-14
 
 class TestSignOptimal:
     def test_relabelings_have_even_parity(self):

@@ -378,8 +378,14 @@ class TestInputBoundaries:
         ("simulate", "detection.eta_b", -0.1),
         ("simulate", "detection.dark_prob", 2.0),
         ("simulate", "detection.mode", "bogus"),
+        ("simulate", "trials", 0),
+        ("simulate", "shards", 0),
+        ("simulate", "setting_dist", [[0.5, 0.5], [0.5, 0.5]]),
+        ("simulate", "setting_dist", [[1.5, -0.5], [0.0, 0.0]]),
         ("interplay", "measure", "bogus"),
         ("interplay", "measure", ["ode"]),
+        ("interplay", "theta_grid.start", 0.6),  # above the stop, 0.5
+        ("interplay", "level", 1.5),
         ("tomo", "target_weights", [0.5, 0.5, 0.5, 0])])
     def test_domain_fault_in_config_is_config_error(self, tmp_path, capsys, subcommand,
                                                     key, value):
@@ -397,6 +403,24 @@ class TestInputBoundaries:
         assert err.startswith("bellkit-error kind=config")
         assert all(part in err for part in key.split("."))
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    @pytest.mark.parametrize("level", [-1.0, 1.5])
+    def test_ode_level_outside_range_is_config_error(self, tmp_path, capsys, level):
+        cfg = write_config(tmp_path, "i.json", {
+            "measure": "ode", "level": level, "theta_grid": {"num": 3}})
+        out = tmp_path / "o"
+        assert main(["interplay", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config") and "level" in err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    def test_internal_fault_stays_module_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("an internal fault")
+        monkeypatch.setattr("bellkit.cli.trajectory", broken)
+        cfg = self.real_config(tmp_path, "interplay")
+        assert main(["interplay", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("bellkit-error kind=module")
 
     @pytest.mark.parametrize("value", [[2.1], [[2.1]], {"s": 2.1}, "2.1"])
     def test_malformed_pairs_rejected(self, tmp_path, capsys, value):

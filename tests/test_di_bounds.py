@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bellkit.di_bounds import (InfeasibleBellValueError,
-                               QuantumBoundExceededError, eof_lower_bound,
+                               QuantumBoundExceededError, _best_realization,
+                               eof_lower_bound,
                                incompatibility_lower_bound,
                                multi_alpha_incompatibility_bound,
                                negativity_lower_bound, quantify)
@@ -69,6 +70,24 @@ class TestMultiAlpha:
     def test_fig2c_value(self):
         val = multi_alpha_incompatibility_bound(2.0098, alpha=1.04)
         assert 1.0e-4 <= val <= 1.25e-4
+
+    def test_alpha_tuned_value_is_violated_by_a_qubit_realization(self):
+        # Characterization: above alpha = 1 the value assumes the
+        # S_alpha-optimal realization.  The CHSH-optimal qubit realization
+        # at the same CHSH value has side-A incompatibility sin^2(phi/2)
+        # = incompatibility_lower_bound(s), about 4.6 times below it.
+        s = 2.0098
+        tuned = multi_alpha_incompatibility_bound(s, alpha=1.04)
+        assert tuned == pytest.approx(1.10e-4, rel=0.01)
+        t = incompatibility_lower_bound(s)
+        assert t == pytest.approx(2.41e-5, rel=0.01)
+        phi = 2.0 * np.arcsin(np.sqrt(t))
+        _, e = _best_realization(phi, 1.0, "A")
+        chsh = e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
+        assert chsh == pytest.approx(s, abs=1e-12)
+        side_a_incompatibility = min(np.sin(phi / 2) ** 2, np.cos(phi / 2) ** 2)
+        assert side_a_incompatibility == pytest.approx(t, rel=1e-9)
+        assert side_a_incompatibility < tuned
 
     def test_bound_increases_with_alpha(self):
         vals = [multi_alpha_incompatibility_bound(2.0098, alpha=a, tol=1e-8)

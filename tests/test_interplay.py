@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from bellkit.interplay import (CalibrationFit, DegenerateFitError,
-                               InfeasibleConstraintError, InterplayPoint,
-                               fit_calibration_shifts, fixed_state_curve,
+from bellkit.interplay import (InfeasibleConstraintError, fixed_state_curve,
                                max_s_fixed_concurrence, max_s_fixed_ode,
                                trajectory, trajectory_to_csv)
 from bellkit.qstate import concurrence, bell_diagonal, one_way_distillable
@@ -109,27 +107,3 @@ class TestFixedStateCurve:
         expected = 2 * np.cos(grid) * tz + 2 * np.sin(grid) * tx
         assert curve == pytest.approx(expected)
 
-
-class TestCalibrationFit:
-    def test_recovers_injected_shift(self):
-        grid = np.linspace(0.0, np.pi / 4, 60)
-        model = trajectory("concurrence", 0.6, 1.0, grid)
-        obs = [(p.theta - 0.015, 0.96 * p.s_alpha) for p in model[5:-5]]
-        fit = fit_calibration_shifts(obs, model)
-        assert isinstance(fit, CalibrationFit)
-        assert fit.angle_offset == pytest.approx(0.015, abs=1e-6)
-        assert fit.visibility == pytest.approx(0.96, abs=1e-6)
-        assert fit.residual < 1e-8
-
-    def test_flat_model_rejected(self):
-        flat = [InterplayPoint(theta=t, incompatibility=np.sin(t) ** 2,
-                               s_alpha=2.0, weights=np.array([1.0, 0, 0, 0]))
-                for t in np.linspace(0, np.pi / 4, 10)]
-        with pytest.raises(DegenerateFitError):
-            fit_calibration_shifts([(0.1, 2.0), (0.2, 2.0), (0.3, 2.0)], flat)
-
-    def test_too_few_observations(self):
-        grid = np.linspace(0.0, np.pi / 4, 10)
-        model = trajectory("concurrence", 0.6, 1.0, grid)
-        with pytest.raises(ValueError):
-            fit_calibration_shifts([(0.1, 2.0)], model)
