@@ -20,7 +20,7 @@ __all__ = [
     "MeasurementSetting",
     "CountTable",
     "EmptySettingError",
-    "correlator_from_counts",
+    "correlators_from_counts",
     "s_alpha_from_counts",
     "s_alpha_expected",
     "sign_optimal_s_alpha",
@@ -104,20 +104,30 @@ class CountTable:
 OUTCOME_VALUES = np.array([-1, 1])
 
 
-def correlator_from_counts(table: CountTable, x: int, y: int) -> float:
-    """(N[-1,-1] - N[-1,1] - N[1,-1] + N[1,1]) / N_xy for setting pair (x, y)."""
-    n = table.counts[:, :, x, y]
-    n_xy = n.sum()
-    if n_xy == 0:
+def _setting_totals(counts, shapes=((2, 2, 2, 2),)) -> tuple[np.ndarray, np.ndarray]:
+    """A CountTable's or (a, b, x, y) array's counts and setting totals N_xy;
+    the first setting pair, x then y, with no trials is an EmptySettingError."""
+    n = np.asarray(counts.counts if isinstance(counts, CountTable) else counts)
+    if n.shape not in shapes:
+        raise ValueError(f"count array must have a shape in {shapes}, got {n.shape}")
+    n_xy = n.sum(axis=(0, 1))
+    if not n_xy.all():
+        x, y = np.argwhere(n_xy == 0)[0]
         raise EmptySettingError(f"no trials recorded for setting pair (x={x}, y={y})")
-    return float((n[0, 0] - n[0, 1] - n[1, 0] + n[1, 1]) / n_xy)
+    return n, n_xy
+
+
+def correlators_from_counts(counts) -> np.ndarray:
+    """E[x, y] = (N[-1,-1] - N[-1,1] - N[1,-1] + N[1,1]) / N_xy of a CountTable or a
+    (2, 2, 2, 2) array of counts (an integer numerator stays exact) or frequencies."""
+    n, n_xy = _setting_totals(counts)
+    return (n[0, 0] - n[0, 1] - n[1, 0] + n[1, 1]) / n_xy
 
 
 def s_alpha_from_counts(table: CountTable, alpha: float = 1.0) -> float:
     """Empirical S_alpha from a count table; every setting pair must be populated."""
     _check_alpha(alpha)
-    e = np.array([[correlator_from_counts(table, x, y) for y in (0, 1)] for x in (0, 1)])
-    return _s_alpha(e, alpha)
+    return _s_alpha(correlators_from_counts(table), alpha)
 
 
 def _check_alpha(alpha: float):
@@ -182,9 +192,7 @@ def sign_optimal_s_alpha(correlators: np.ndarray, alpha: float = 1.0
     e = np.asarray(correlators, dtype=float)
     best_val, best_pat = -np.inf, None
     for pat in RELABELINGS:
-        sa0, sa1, sb0, sb1 = pat
-        flipped = e * np.outer([sa0, sa1], [sb0, sb1])
-        val = _s_alpha(flipped, alpha)
+        val = _s_alpha(e * np.outer(pat[:2], pat[2:]), alpha)
         if val > best_val + 1e-15:
             best_val, best_pat = val, pat
     return best_val, best_pat

@@ -20,11 +20,12 @@ from .bell import (CountTable, EmptySettingError, MeasurementSetting,
                    s_alpha_from_counts)
 from .di_bounds import quantify as di_quantify
 from .interplay import MEASURES as INTERPLAY_MEASURES
-from .interplay import InfeasibleConstraintError, trajectory, trajectory_to_csv
+from .interplay import (InfeasibleConstraintError, _check_theta, trajectory,
+                        trajectory_to_csv)
 from .pbr import pbr_p_value
-from .qstate import InvalidStateError, bell_diagonal, fidelity
+from .qstate import bell_diagonal, fidelity
 from .tomo import BASIS_LABELS, mle_fit
-from .trial_sim import (DetectionModel, SpacetimeConfig, parse_trial_log,
+from .trial_sim import (OUTCOMES, DetectionModel, SpacetimeConfig, parse_trial_log,
                         simulate_trials, spacetime_check, trial_log_to_text)
 
 __all__ = ["main"]
@@ -71,6 +72,21 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _checked(key: str, fn, /, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError raised as a ConfigError naming key."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _count(value, key: str) -> int:
+    """value if it is a JSON integer >= 1, else a ConfigError."""
+    if _integer(value, key) < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
+    return value
+
+
 def _number(value, key: str, shape: tuple = ()):
     """value as floats if it is a JSON array of that shape (None: any length)
     of finite numbers; a string, boolean, NaN or infinity is a ConfigError."""
@@ -88,11 +104,7 @@ def _number(value, key: str, shape: tuple = ()):
 
 def _bell_diagonal(value, key: str):
     """The Bell-diagonal state of config weights; invalid weights are a ConfigError."""
-    weights = _number(value, key, (4,))
-    try:
-        return bell_diagonal(weights)
-    except InvalidStateError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    return _checked(key, bell_diagonal, _number(value, key, (4,)))
 
 
 def _load_config(path: str, subcommand: str) -> dict:
@@ -154,11 +166,8 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict, seed,
 def write_count_csv(table: CountTable, path: str):
     with open(path, "w") as fh:
         fh.write("a,b,x,y,count\n")
-        for ia, a in enumerate((-1, 1)):
-            for ib, b in enumerate((-1, 1)):
-                for x in (0, 1):
-                    for y in (0, 1):
-                        fh.write(f"{a},{b},{x},{y},{table.counts[ia, ib, x, y]}\n")
+        for (ia, ib, x, y), n in np.ndenumerate(table.counts):
+            fh.write(f"{OUTCOMES[ia]},{OUTCOMES[ib]},{x},{y},{n}\n")
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -258,20 +267,14 @@ def _cmd_simulate(cfg: dict, out_dir: str, seed) -> list[str]:
                      for d in _number(cfg["settings_deg"], "settings_deg", (4,)))
     det_cfg = {key: value if key == "mode" else _number(value, f"detection.{key}")
                for key, value in cfg.get("detection", {}).items()}
-    try:
-        det = DetectionModel(**det_cfg)
-    except ValueError as exc:
-        raise ConfigError(f"detection: {exc}") from None
+    det = _checked("detection", DetectionModel, **det_cfg)
     dist = np.asarray(_number(cfg.get("setting_dist", [[0.25, 0.25], [0.25, 0.25]]),
                               "setting_dist", (2, 2)))
     if np.any(dist < 0) or abs(dist.sum() - 1.0) > 1e-10:
         raise ConfigError(f"setting_dist must be a 2x2 probability array, "
                           f"got {dist.tolist()}")
-    trials = _integer(cfg["trials"], "trials")
-    shards = _integer(cfg.get("shards", 1), "shards")
-    for key, n in (("trials", trials), ("shards", shards)):
-        if n < 1:
-            raise ConfigError(f"{key} must be >= 1, got {n}")
+    trials = _count(cfg["trials"], "trials")
+    shards = _count(cfg.get("shards", 1), "shards")
     keep_log = cfg.get("trial_log", False)
     if not isinstance(keep_log, bool):
         raise ConfigError(f"trial_log must be true or false, got {keep_log!r}")
@@ -304,6 +307,8 @@ def _cmd_interplay(cfg: dict, out_dir: str, seed) -> list[str]:
     stop = _number(grid_cfg.get("stop", np.pi / 4), "theta_grid.stop")
     if start > stop:
         raise ConfigError(f"theta_grid.start {start} exceeds theta_grid.stop {stop}")
+    for key, theta in (("theta_grid.start", start), ("theta_grid.stop", stop)):
+        _checked(key, _check_theta, theta)
     grid = np.linspace(start, stop, _integer(grid_cfg["num"], "theta_grid.num"))
     level = _number(cfg["level"], "level")
     if not isinstance(cfg["measure"], str) or cfg["measure"] not in INTERPLAY_MEASURES:
@@ -327,14 +332,12 @@ def _cmd_interplay(cfg: dict, out_dir: str, seed) -> list[str]:
 def _cmd_pbr(cfg: dict, out_dir: str, seed) -> list[str]:
     if "trial_log" not in cfg:
         raise ConfigError("pbr config missing 'trial_log'")
+    block = _count(cfg.get("block", 10000), "block")
     with open(cfg["trial_log"], "rb") as fh:
-        try:
-            cells = parse_trial_log(fh.read())
-        except ValueError as exc:
-            raise ConfigError(f"{cfg['trial_log']}: {exc}") from None
+        cells = _checked(cfg["trial_log"], parse_trial_log, fh.read())
     if cells.size == 0:
         raise ConfigError(f"{cfg['trial_log']}: the trial log has no records")
-    result = pbr_p_value(cells, block=_integer(cfg.get("block", 10000), "block"))
+    result = pbr_p_value(cells, block=block)
     path = os.path.join(out_dir, "pbr.json")
     with open(path, "w") as fh:
         fh.write(result.to_json())

@@ -197,6 +197,9 @@ class DiBoundReport:
             "incompatibility_lb": self.incompatibility_lb,
             "method": self.method,
             "achieved_precision": self.achieved_precision,
+            # The reading of s that each bound takes; they agree at alpha = 1.
+            "s_read_as": {"eof_lb": "S_alpha", "negativity_lb": "S_alpha",
+                          "incompatibility_lb": "S_CHSH"},
         }
         if self.error is not None:
             d["error"] = self.error

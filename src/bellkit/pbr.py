@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bell import _s_alpha
-from .trial_sim import TRIAL_CELLS, behavior_from_counts, check_trial_log
+from .bell import _s_alpha, _setting_totals, correlators_from_counts
+from .trial_sim import OUTCOMES, TRIAL_CELLS, check_trial_log
 
 __all__ = [
     "BehaviorDistribution",
     "LhvModel",
+    "behavior_from_counts",
     "PbrResult",
     "SupportViolationError",
     "kl_divergence",
@@ -49,20 +50,18 @@ class SupportViolationError(ValueError):
 class BehaviorDistribution:
     """Conditional outcome distributions p(ab|xy) with setting weights p_xy.
 
-    p has shape (k, k, 2, 2) indexed (a, b, x, y); outcomes names the k
-    outcome labels per side.
+    p has shape (k, k, 2, 2) indexed (a, b, x, y), with k = 2 outcomes
+    (-1, 1) or k = 3 outcomes (-1, 1, u) per side.
     """
 
     p: np.ndarray
     p_xy: np.ndarray
-    outcomes: tuple = (-1, 1)
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
         self.p_xy = np.asarray(self.p_xy, dtype=float)
-        k = len(self.outcomes)
-        if self.p.shape != (k, k, 2, 2):
-            raise ValueError(f"behavior must be {(k, k, 2, 2)}, got {self.p.shape}")
+        if self.p.shape not in ((2, 2, 2, 2), (3, 3, 2, 2)):
+            raise ValueError(f"behavior must be (k, k, 2, 2), got {self.p.shape}")
         if np.any(self.p < -_NORM_ATOL):
             raise ValueError("negative conditional probability")
         sums = self.p.sum(axis=(0, 1))
@@ -71,6 +70,10 @@ class BehaviorDistribution:
         if self.p_xy.shape != (2, 2) or np.any(self.p_xy < 0) \
                 or abs(self.p_xy.sum() - 1.0) > _NORM_ATOL:
             raise ValueError("setting weights must be a 2x2 probability array")
+
+    @property
+    def outcomes(self) -> tuple:
+        return OUTCOMES[:self.p.shape[0]]
 
     def no_signaling_residual(self) -> float:
         """Largest violation of the no-signaling marginal equalities."""
@@ -82,10 +85,14 @@ class BehaviorDistribution:
 
     def s_value(self, alpha: float = 1.0) -> float:
         """S_alpha of a binary-alphabet behavior (outcome order -1, +1)."""
-        if len(self.outcomes) != 2:
-            raise ValueError("Bell value needs the binary alphabet")
-        signs = np.array([-1.0, 1.0])
-        return _s_alpha(np.einsum("a,b,abxy->xy", signs, signs, self.p), alpha)
+        return _s_alpha(correlators_from_counts(self.p), alpha)
+
+
+def behavior_from_counts(counts) -> BehaviorDistribution:
+    """Relative frequencies f(ab|xy) = N(ab|xy) / N_xy with setting weights
+    N_xy / N, from a CountTable or a (k, k, 2, 2) count array."""
+    n, n_xy = _setting_totals(counts, ((2, 2, 2, 2), (3, 3, 2, 2)))
+    return BehaviorDistribution(p=n / n_xy, p_xy=n_xy / n_xy.sum())
 
 
 def kl_divergence(f: BehaviorDistribution, p: BehaviorDistribution) -> float:
@@ -99,9 +106,8 @@ def kl_divergence(f: BehaviorDistribution, p: BehaviorDistribution) -> float:
     mask = f.p > 0
     if np.any(mask & (p.p <= 0)):
         raise SupportViolationError("reference behavior vanishes on the support")
-    ratio = np.ones_like(f.p)
-    ratio[mask] = f.p[mask] / p.p[mask]
-    terms = np.where(mask, f.p * np.log2(np.where(mask, ratio, 1.0)), 0.0)
+    ratio = np.where(mask, f.p, 1.0) / np.where(mask, p.p, 1.0)
+    terms = np.where(mask, f.p * np.log2(ratio), 0.0)
     return float(np.einsum("xy,abxy->", f.p_xy, terms))
 
 
@@ -174,8 +180,7 @@ def project_no_signaling(f: BehaviorDistribution, obj_tol: float = 1e-14,
             if converged:
                 break
 
-    q = BehaviorDistribution(p=qv.reshape(k, k, 2, 2), p_xy=f.p_xy,
-                             outcomes=f.outcomes)
+    q = BehaviorDistribution(p=qv.reshape(k, k, 2, 2), p_xy=f.p_xy)
     if full_output:
         b_vec = np.concatenate([np.ones(4), np.zeros(a_mat.shape[0] - 4)])
         return q, {"converged": converged, "iterations": iterations,
@@ -212,31 +217,31 @@ def closest_lhv(p_ns: BehaviorDistribution) -> tuple["LhvModel", float]:
         w = w * g
         w /= w.sum()
     kl = float(np.sum(pi * np.log2(pi / (w @ v))))
-    return LhvModel(weights=w, outcomes=p_ns.outcomes, p_xy=p_ns.p_xy), max(kl, 0.0)
+    return LhvModel(weights=w, p_xy=p_ns.p_xy), max(kl, 0.0)
 
 
 @dataclass
 class LhvModel:
-    """Mixture over deterministic local strategies."""
+    """Mixture over the k^4 deterministic local strategies, k = 2 or 3."""
 
     weights: np.ndarray
-    outcomes: tuple = (-1, 1)
-    p_xy: np.ndarray = None
+    p_xy: np.ndarray = field(default_factory=lambda: np.full((2, 2), 0.25))
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        k = len(self.outcomes)
-        if self.weights.shape != (k ** 4,):
-            raise ValueError(f"expected {k ** 4} vertex weights")
+        if self.weights.shape not in ((16,), (81,)):
+            raise ValueError(f"expected 16 or 81 vertex weights, got {self.weights.shape}")
         if np.any(self.weights < -1e-12) or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("vertex weights must form a probability vector")
-        if self.p_xy is None:
-            self.p_xy = np.full((2, 2), 0.25)
+
+    @property
+    def outcomes(self) -> tuple:
+        return OUTCOMES[:round(self.weights.size ** 0.25)]
 
     def behavior(self) -> BehaviorDistribution:
         p = np.einsum("k,kabxy->abxy", self.weights, lhv_vertices(len(self.outcomes)))
         p = p / p.sum(axis=(0, 1))
-        return BehaviorDistribution(p=p, p_xy=self.p_xy, outcomes=self.outcomes)
+        return BehaviorDistribution(p=p, p_xy=self.p_xy)
 
 
 @dataclass
@@ -271,8 +276,7 @@ def _ratio_table(freq: BehaviorDistribution):
     if kl_lhv < 1e-12:
         return np.ones_like(freq.p), kl_divergence(freq, p_ns), kl_lhv, 0.0
     p_lr = lhv.behavior()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(p_lr.p > 0, p_ns.p / np.where(p_lr.p > 0, p_lr.p, 1.0), 0.0)
+    r = np.where(p_lr.p > 0, p_ns.p / np.where(p_lr.p > 0, p_lr.p, 1.0), 0.0)
     # Validity requires sum_xy p_xy sum_ab R(abxy) V(ab|xy) <= 1 for every
     # deterministic vertex V.  The raw ratio satisfies this at the exact
     # divergence minimizer; dividing by the worst vertex expectation
@@ -314,8 +318,7 @@ def pbr_p_value(cells, block: int = 10000) -> PbrResult:
     log10_sum = kl_ns = kl_lhv = gap = 0.0
     for pos in range(0, cells.size, block):
         if pos > 0:
-            freq = behavior_from_counts(counts[:k, :k] + 0.5,
-                                        "ternary" if k == 3 else "binary")
+            freq = behavior_from_counts(counts[:k, :k] + 0.5)
             ratio, kl_ns, kl_lhv, gap = _ratio_table(freq)
             log_ratio[:k, :k] = np.log10(np.maximum(ratio, 1e-300))
         c = np.bincount(cells[pos:pos + block], minlength=n)

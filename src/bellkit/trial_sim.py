@@ -31,13 +31,13 @@ __all__ = [
     "DetectionModel",
     "SpacetimeConfig",
     "SimulationResult",
+    "OUTCOMES",
     "TRIAL_CELLS",
     "largest_remainder",
     "pulse_schedule",
     "joint_law",
     "simulate_trials",
     "spacetime_check",
-    "behavior_from_counts",
     "check_trial_log",
     "trial_log_to_text",
     "parse_trial_log",
@@ -144,9 +144,10 @@ class SimulationResult:
     log: np.ndarray | None = None
 
 
-#: (x, y, a, b) record of cell ((ia*3 + ib)*2 + x)*2 + y of a flattened
-#: `joint_law`, where ia, ib = 0, 1, 2 stand for a, b = -1, 1, u (no-click).
-TRIAL_CELLS = tuple((x, y, a, b) for a in (-1, 1, "u") for b in (-1, 1, "u")
+#: Recorded outcome of index 0, 1, 2 on either side; u is a no-click.
+OUTCOMES = (-1, 1, "u")
+#: (x, y, a, b) record of cell ((ia*3 + ib)*2 + x)*2 + y of a flattened `joint_law`.
+TRIAL_CELLS = tuple((x, y, a, b) for a in OUTCOMES for b in OUTCOMES
                     for x in (0, 1) for y in (0, 1))
 
 
@@ -314,32 +315,3 @@ def spacetime_check(cfg: SpacetimeConfig) -> dict:
     mi_b = cfg.sb_m / c - (cfg.lsb_m / c - cfg.t_delay2 - cfg.t_pc2)
     margins = {"locality_1": loc1, "locality_2": loc2, "mi_a": mi_a, "mi_b": mi_b}
     return {**margins, "pass": all(m > 0 for m in margins.values())}
-
-
-def behavior_from_counts(table, outcome_alphabet: str = "binary"):
-    """Relative frequencies f(ab|xy) plus setting weights, as a behavior.
-
-    For the binary alphabet, table is a CountTable.  For the ternary
-    alphabet {0, 1, u} (no-click preserved as u), table is a
-    (3, 3, 2, 2) count array with outcome order (0, 1, u).
-    """
-    from .pbr import BehaviorDistribution
-
-    if outcome_alphabet == "binary":
-        counts = np.asarray(table.counts if isinstance(table, CountTable) else table,
-                            dtype=float)
-        labels = (-1, 1)
-    elif outcome_alphabet == "ternary":
-        counts = np.asarray(table, dtype=float)
-        labels = (0, 1, "u")
-    else:
-        raise ValueError(f"unknown outcome alphabet {outcome_alphabet!r}")
-    k = len(labels)
-    if counts.shape != (k, k, 2, 2):
-        raise ValueError(f"count array must be {(k, k, 2, 2)}, got {counts.shape}")
-    n_xy = counts.sum(axis=(0, 1))
-    if np.any(n_xy == 0):
-        raise ValueError("every setting pair must have at least one trial")
-    p = counts / n_xy
-    p_xy = n_xy / n_xy.sum()
-    return BehaviorDistribution(p=p, p_xy=p_xy, outcomes=labels)

@@ -16,12 +16,13 @@ from bellkit.di_bounds import (eof_lower_bound, incompatibility_lower_bound,
                                multi_alpha_incompatibility_bound,
                                negativity_lower_bound)
 from bellkit.interplay import max_s_fixed_concurrence
-from bellkit.pbr import closest_lhv, pbr_p_value, project_no_signaling
+from bellkit.pbr import (behavior_from_counts, closest_lhv, pbr_p_value,
+                         project_no_signaling)
 from bellkit.qstate import (bell_diagonal, concurrence, eof, negativity,
                             one_way_distillable, validate_density_matrix)
 from bellkit.tomo import mle_fit, rho_from_t, simulate_counts
 from bellkit.trial_sim import (TRIAL_CELLS, DetectionModel, SpacetimeConfig,
-                               behavior_from_counts, largest_remainder,
+                               largest_remainder,
                                pulse_schedule, simulate_trials,
                                spacetime_check)
 from bellkit.qstate import fidelity

@@ -3,7 +3,7 @@ import pytest
 
 from bellkit.bell import (CountTable, EmptySettingError, MeasurementSetting,
                           RELABELINGS, born_behavior, chsh_optimal_settings,
-                          correlator_from_counts, correlators_expected,
+                          correlators_expected, correlators_from_counts,
                           hardware_angles, inverse_hardware_angles,
                           s_alpha_expected, s_alpha_from_counts,
                           sign_optimal_s_alpha)
@@ -143,13 +143,13 @@ class TestCounts:
         counts[1, 0, 0, 0] = 10
         counts[:, :, 0, 1] = counts[:, :, 1, 0] = counts[:, :, 1, 1] = 25
         table = CountTable(counts)
-        assert correlator_from_counts(table, 0, 0) == pytest.approx(0.6)
-        assert correlator_from_counts(table, 1, 1) == pytest.approx(0.0)
+        assert correlators_from_counts(table)[0, 0] == pytest.approx(0.6)
+        assert correlators_from_counts(table)[1, 1] == pytest.approx(0.0)
 
     def test_empty_setting_rejected(self):
         table = CountTable()
         with pytest.raises(EmptySettingError):
-            correlator_from_counts(table, 0, 0)
+            correlators_from_counts(table)
         with pytest.raises(EmptySettingError):
             s_alpha_from_counts(table)
 

@@ -212,6 +212,11 @@ class TestInputBoundaries:
         csv_path.write_text("basis_a,basis_b,count\n" + "\n".join(rows) + "\n")
         return csv_path
 
+    def write_trial_log(self, tmp_path):
+        path = tmp_path / "trials.log"
+        path.write_text("0,0,0,1,1\n1,1,0,-1,-1\n")
+        return path
+
     @pytest.mark.parametrize("edit, line", [
         (set_row(5, "X,Y,40"), 7),              # label outside H, V, +, -, R, L
         (swap_rows(3, 4), 5),                   # H,R before H,-
@@ -336,6 +341,7 @@ class TestInputBoundaries:
                           "theta_grid": {"start": 0.0, "stop": 0.5, "num": 3}},
             "tomo": {"counts_csv": str(self.write_tomo_csv(tmp_path)),
                      "target_weights": [0.9, 0.1, 0, 0]},
+            "pbr": {"trial_log": str(self.write_trial_log(tmp_path)), "block": 100},
         }[subcommand]
         if key is None:
             return write_config(tmp_path, "r.json", payload)
@@ -385,8 +391,11 @@ class TestInputBoundaries:
         ("interplay", "measure", "bogus"),
         ("interplay", "measure", ["ode"]),
         ("interplay", "theta_grid.start", 0.6),  # above the stop, 0.5
+        ("interplay", "theta_grid.start", -0.1),
+        ("interplay", "theta_grid.stop", 1.0),
         ("interplay", "level", 1.5),
-        ("tomo", "target_weights", [0.5, 0.5, 0.5, 0])])
+        ("tomo", "target_weights", [0.5, 0.5, 0.5, 0]),
+        ("pbr", "block", 0)])
     def test_domain_fault_in_config_is_config_error(self, tmp_path, capsys, subcommand,
                                                     key, value):
         self.real_config(tmp_path, subcommand)
@@ -403,6 +412,15 @@ class TestInputBoundaries:
         assert err.startswith("bellkit-error kind=config")
         assert all(part in err for part in key.split("."))
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    def test_pbr_block_checked_before_the_log_is_read(self, tmp_path, capsys):
+        log = tmp_path / "trials.log"
+        log.write_text("not a trial log\n")
+        cfg = write_config(tmp_path, "p.json", {"trial_log": str(log), "block": 0})
+        assert main(["pbr", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bellkit-error kind=config")
+        assert "block must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("level", [-1.0, 1.5])
     def test_ode_level_outside_range_is_config_error(self, tmp_path, capsys, level):

@@ -137,3 +137,17 @@ class TestQuantifyReport:
         assert d["incompatibility_lb"] == full["bound"]
         assert d["method"] == full["method"] == "planar-qubit envelope inversion"
         assert 0.0 < d["achieved_precision"] == full["achieved_precision"] <= 1e-10
+
+    @pytest.mark.parametrize("s,alpha", [(2.0132, 1.0), (2.0098, 1.04)])
+    def test_report_names_the_reading_of_s(self, s, alpha):
+        d = quantify(s, alpha).to_dict()
+        assert d["s_read_as"] == {"eof_lb": "S_alpha", "negativity_lb": "S_alpha",
+                                  "incompatibility_lb": "S_CHSH"}
+        # eof and negativity take s as S_alpha; the incompatibility takes the
+        # same s as a CHSH value, which at alpha = 1 is the closed form.
+        assert d["eof_lb"] == eof_lower_bound(s, alpha)
+        assert d["negativity_lb"] == negativity_lower_bound(s, alpha)
+        assert d["incompatibility_lb"] == pytest.approx(
+            multi_alpha_incompatibility_bound(s, alpha), abs=1e-9)
+        if alpha == 1.0:
+            assert d["incompatibility_lb"] == incompatibility_lower_bound(s)

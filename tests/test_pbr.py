@@ -3,18 +3,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bellkit.bell import CountTable, chsh_optimal_settings, s_alpha_from_counts
+from bellkit.bell import (CountTable, EmptySettingError, chsh_optimal_settings,
+                          correlators_from_counts, s_alpha_from_counts)
 from bellkit.pbr import (_GAP_TOL_BITS, BehaviorDistribution, LhvModel,
                          SupportViolationError, _ns_constraint_matrix,
-                         _ratio_table, closest_lhv,
+                         _ratio_table, behavior_from_counts, closest_lhv,
                          kl_divergence, lhv_vertices, pbr_p_value,
                          project_no_signaling)
 from bellkit.qstate import bell_diagonal
-from bellkit.trial_sim import (TRIAL_CELLS, DetectionModel, behavior_from_counts,
-                               simulate_trials)
+from bellkit.trial_sim import TRIAL_CELLS, DetectionModel, simulate_trials
 
 UNIFORM_XY = np.full((2, 2), 0.25)
+INT64_MAX = 2 ** 63 - 1
 #: Divergences reached by the SLSQP projection that the Newton solver replaced.
 PROJECTION_REFERENCE = json.loads(
     (Path(__file__).parent / "projection_reference.json").read_text())["cases"]
@@ -41,8 +44,7 @@ def certified_gap(p_ns, weights):
 
 def uniform_behavior(k=2):
     return BehaviorDistribution(p=np.full((k, k, 2, 2), 1.0 / k ** 2),
-                                p_xy=UNIFORM_XY,
-                                outcomes=(-1, 1) if k == 2 else (0, 1, "u"))
+                                p_xy=UNIFORM_XY)
 
 
 def pr_box():
@@ -169,8 +171,7 @@ class TestProjection:
     def test_no_worse_than_slsqp(self, case):
         k = case["k"]
         f = BehaviorDistribution(p=np.reshape(case["p"], (k, k, 2, 2)),
-                                 p_xy=np.reshape(case["p_xy"], (2, 2)),
-                                 outcomes=(-1, 1) if k == 2 else (0, 1, "u"))
+                                 p_xy=np.reshape(case["p_xy"], (2, 2)))
         q, info = project_no_signaling(f, full_output=True)
         assert info["converged"] and info["gap"] < 1e-12
         if f.p.min() == 0:
@@ -187,8 +188,7 @@ class TestProjection:
     def test_slsqp_failure_case_is_interior(self):
         counts = np.array(SLSQP_FAILURE_COUNTS, dtype=float) + 0.5
         n_xy = counts.sum(axis=(0, 1))
-        f = BehaviorDistribution(p=counts / n_xy, p_xy=n_xy / n_xy.sum(),
-                                 outcomes=(0, 1, "u"))
+        f = BehaviorDistribution(p=counts / n_xy, p_xy=n_xy / n_xy.sum())
         q, info = project_no_signaling(f, full_output=True)
         assert info["converged"] and q.p.min() > 0
         assert -np.sum(f.p * f.p_xy * np.log(q.p)) == pytest.approx(1.5548, abs=1e-4)
@@ -240,8 +240,7 @@ class TestClosestLhv:
     def test_no_worse_than_multistart_em(self, case):
         k = case["k"]
         p_ns = BehaviorDistribution(p=np.reshape(case["p"], (k, k, 2, 2)),
-                                    p_xy=np.reshape(case["p_xy"], (2, 2)),
-                                    outcomes=(-1, 1) if k == 2 else (0, 1, "u"))
+                                    p_xy=np.reshape(case["p_xy"], (2, 2)))
         model, kl = closest_lhv(p_ns)
         assert kl == pytest.approx(kl_divergence(p_ns, model.behavior()), abs=1e-12)
         gap = certified_gap(p_ns, model.weights)
@@ -326,7 +325,7 @@ class TestPValue:
         counts, ratio, log10_sum = np.zeros((k, k, 2, 2)), np.ones((k, k, 2, 2)), 0.0
         for pos in range(0, len(log), block):
             if pos:
-                freq = behavior_from_counts(counts + 0.5, "ternary" if k == 3 else "binary")
+                freq = behavior_from_counts(counts + 0.5)
                 ratio = _ratio_table(freq)[0]
             for x, y, a, b in records[pos:pos + block]:
                 counts[index[a], index[b], x, y] += 1
@@ -367,6 +366,49 @@ class TestBehaviorType:
         table = CountTable(counts)
         assert s_alpha_from_counts(table, 1.3) == pytest.approx(want, abs=1e-12)
         assert behavior_from_counts(table).s_value(1.3) == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, INT64_MAX // 16), min_size=16, max_size=16),
+           st.floats(1.0, 3.0))
+    @example([INT64_MAX // 16] * 16, 1.3)
+    @example([INT64_MAX - 15] + [1] * 15, 1.0)
+    @example([5, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0], 1.0)
+    def test_count_kernel_matches_per_pair_integer_formula(self, cells, alpha):
+        # Totals reach the int64 maximum that read_count_csv accepts; the
+        # second @example puts 2^63 - 16 of them in one cell.
+        table = CountTable(np.array(cells, dtype=np.int64).reshape(2, 2, 2, 2))
+        empty = [(x, y) for x in (0, 1) for y in (0, 1)
+                 if table.counts[:, :, x, y].sum() == 0]
+        if empty:
+            for kernel in (correlators_from_counts, s_alpha_from_counts,
+                           behavior_from_counts):
+                with pytest.raises(EmptySettingError, match=r"\(x=%d, y=%d\)" % empty[0]):
+                    kernel(table)
+            return
+        e = np.empty((2, 2))
+        for x in (0, 1):
+            for y in (0, 1):
+                n = table.counts[:, :, x, y]
+                e[x, y] = (n[0, 0] - n[0, 1] - n[1, 0] + n[1, 1]) / n.sum()
+        assert correlators_from_counts(table).tolist() == e.tolist()
+        assert correlators_from_counts(table.counts).tolist() == e.tolist()
+        want = alpha * e[0, 0] + alpha * e[0, 1] + e[1, 0] - e[1, 1]
+        assert s_alpha_from_counts(table, alpha) == want
+        beh = behavior_from_counts(table)
+        assert beh.s_value(alpha) == pytest.approx(want, abs=1e-12)
+        same = behavior_from_counts(table.counts)
+        assert np.array_equal(beh.p, same.p) and np.array_equal(beh.p_xy, same.p_xy)
+
+    def test_outcomes_read_from_the_shape(self):
+        counts = np.arange(1, 37).reshape(3, 3, 2, 2)
+        assert behavior_from_counts(counts).outcomes == (-1, 1, "u")
+        assert behavior_from_counts(counts[:2, :2]).outcomes == (-1, 1)
+        assert LhvModel(weights=np.full(81, 1 / 81)).outcomes == (-1, 1, "u")
+        assert LhvModel(weights=np.full(16, 1 / 16)).outcomes == (-1, 1)
+        model, _ = closest_lhv(behavior_from_counts(counts))
+        assert model.behavior().outcomes == (-1, 1, "u")
+        with pytest.raises(ValueError):
+            behavior_from_counts(counts).s_value()
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):

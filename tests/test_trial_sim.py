@@ -11,9 +11,10 @@ from scipy.stats import chi2
 
 from bellkit.bell import MeasurementSetting, chsh_optimal_settings, s_alpha_from_counts
 from bellkit import trial_log
+from bellkit.pbr import behavior_from_counts
 from bellkit.qstate import bell_diagonal
 from bellkit.trial_sim import (TRIAL_CELLS, DetectionModel, SpacetimeConfig,
-                               behavior_from_counts, joint_law,
+                               joint_law,
                                largest_remainder, parse_trial_log,
                                pulse_schedule, simulate_trials,
                                spacetime_check, trial_log_to_text)
