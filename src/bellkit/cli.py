@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  (argparse's gettext loads it in main otherwise)
 import os
 import sys
 
@@ -243,6 +244,8 @@ def _cmd_quantify(cfg: dict, out_dir: str, seed) -> list[str]:
             pairs.append([s_alpha_from_counts(table, alpha), alpha])
         except EmptySettingError as exc:
             raise ConfigError(f"{cfg['counts_csv']}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"alpha: {exc}") from None
     if not pairs:
         raise ConfigError("quantify needs 'pairs' or 'counts_csv'")
     reports = []
@@ -309,7 +312,9 @@ def _cmd_interplay(cfg: dict, out_dir: str, seed) -> list[str]:
         raise ConfigError(f"theta_grid.start {start} exceeds theta_grid.stop {stop}")
     for key, theta in (("theta_grid.start", start), ("theta_grid.stop", stop)):
         _checked(key, _check_theta, theta)
-    grid = np.linspace(start, stop, _integer(grid_cfg["num"], "theta_grid.num"))
+    # num = 0 is allowed: an empty grid writes a header-only CSV.
+    grid = _checked("theta_grid.num", np.linspace, start, stop,
+                    _integer(grid_cfg["num"], "theta_grid.num"))
     level = _number(cfg["level"], "level")
     if not isinstance(cfg["measure"], str) or cfg["measure"] not in INTERPLAY_MEASURES:
         raise ConfigError(f"measure must be one of {list(INTERPLAY_MEASURES)}, "

@@ -15,7 +15,8 @@ the two largest coefficients take all the weight, which gives
 theta, 2 sqrt(alpha^2 + C^2), is the Horodecki maximal CHSH value of
 that state at alpha = 1 (Horodecki et al., PLA 200, 340 (1995)).  At
 fixed entropy the weights take the Gibbs form w ~ exp(beta c)
-(Jaynes 1957), with beta a 1-D root.
+(Jaynes 1957), with beta a 1-D root.  Both roots are monotone and
+bracketed, and `_root` solves them without scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .qstate import BELL_STATE_CORRELATIONS, validate_weights
 
@@ -105,6 +105,26 @@ def _gibbs(c: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _root(f, lo: float, hi: float) -> float:
+    """Zero of f in [lo, hi], where f(lo) and f(hi) differ in sign, by Illinois
+    regula falsi (secant steps; an end kept twice in a row has its value
+    halved).  Stops when the next step is not strictly inside the bracket (the
+    ulp guard), at a 1e-15 bracket or after 100 steps; returns the end of
+    smaller |f|."""
+    (a, fa), (b, fb) = (lo, f(lo)), (hi, f(hi))
+    ga, gb, side = fa, fb, 0
+    for _ in range(100):
+        x = b - gb * (b - a) / (gb - ga)
+        if b - a <= 1e-15 or not a < x < b:
+            break
+        fx = f(x)
+        if (fx < 0) == (fa < 0):
+            a, fa, ga, gb, side = x, fx, fx, gb / 2 if side < 0 else gb, -1
+        else:
+            b, fb, gb, ga, side = x, fx, fx, ga / 2 if side > 0 else ga, 1
+    return a if abs(fa) <= abs(fb) else b
+
+
 def max_s_fixed_ode(ode: float, theta: float, alpha: float = 1.0) -> InterplayPoint:
     """Maximal S_alpha over Bell-diagonal states with one-way distillable
     entanglement 1 - H(lambda) equal to ode.
@@ -130,14 +150,13 @@ def max_s_fixed_ode(ode: float, theta: float, alpha: float = 1.0) -> InterplayPo
         # Slide from the uniform mixture of the ties to its first member.
         uniform = tied / tied.sum()
         vertex = np.eye(4)[np.argmax(tied)]
-        t = brentq(lambda t: _entropy_bits((1 - t) * uniform + t * vertex) - h,
-                   0.0, 1.0, xtol=1e-15)
+        t = _root(lambda t: _entropy_bits((1 - t) * uniform + t * vertex) - h, 0.0, 1.0)
         return _point(theta, alpha, (1 - t) * uniform + t * vertex)
     # H(beta) falls from 2 bits at beta = 0 towards log2(k) < h.
     beta_hi = 1.0
     while _entropy_bits(_gibbs(c, beta_hi)) > h:
         beta_hi *= 2.0
-    beta = brentq(lambda b: _entropy_bits(_gibbs(c, b)) - h, 0.0, beta_hi, xtol=1e-15)
+    beta = _root(lambda b: _entropy_bits(_gibbs(c, b)) - h, 0.0, beta_hi)
     return _point(theta, alpha, _gibbs(c, beta))
 
 

@@ -6,13 +6,12 @@ so physicality (Hermiticity, positivity, unit trace) holds by
 construction.  Measurements are the 36 product projectors over the
 per-photon states H, V, +, -, R, L (three mutually unbiased bases per
 arm), and the fit minimizes a Gaussian-approximation likelihood of the
-observed counts.
+observed counts.  `mle_fit` imports scipy when it runs, not this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qstate import PAULI, validate_density_matrix
 
@@ -126,14 +125,21 @@ def t_from_rho(rho, jitter: float = 1e-12) -> np.ndarray:
     return t
 
 
+#: T|phi_m> is real-linear in t: column k holds the real then imaginary
+#: parts of the 36 x 4 amplitudes at t = e_k, rows grouped 8 per projector.
+#: Each parameter is one part of one entry of T, so Tr(T+T) = t.t.
+_AMPLITUDES = np.stack([_KETS @ t_matrix(e).T for e in np.eye(16)], axis=-1)
+_AMPLITUDES = np.concatenate([_AMPLITUDES.real, _AMPLITUDES.imag], axis=1).reshape(288, 16)
+
+
 def _probabilities_from_t(t) -> np.ndarray:
     """Projection probabilities <phi_mu| rho(t) |phi_mu> for all 36 projectors."""
-    tm = t_matrix(t)
-    norm = np.sum(np.abs(tm) ** 2)
+    t = np.asarray(t, dtype=float)
+    norm = t @ t
     if norm <= 0.0:
         raise ValueError("T parameters are all zero; state undefined")
-    amps = _KETS @ tm.T  # row m is T |phi_m>
-    return np.sum(np.abs(amps) ** 2, axis=1) / norm
+    amps = _AMPLITUDES @ t
+    return (amps * amps).reshape(36, 8).sum(axis=1) / norm
 
 
 def probabilities(rho) -> np.ndarray:
@@ -240,6 +246,8 @@ def mle_fit(counts, restarts: int = 2, seed: int = 0,
     runs restarted from the best point (plus perturbed replicas) until
     the improvement falls below stall_tol.
     """
+    from scipy.optimize import minimize
+
     counts = np.asarray(counts, dtype=float)
     t0 = t_from_rho(_project_physical(linear_inversion(counts)), jitter=1e-10)
     rng = np.random.default_rng(seed)

@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 loads it at first use; here, with the module)
 
 from .bell import CountTable, born_behavior
 from .qstate import validate_weights

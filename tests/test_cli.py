@@ -332,8 +332,11 @@ class TestInputBoundaries:
 
     def real_config(self, tmp_path, subcommand, key=None, value=None):
         """A valid config of subcommand; with a key, its first number is value."""
+        counts_csv = tmp_path / "counts.csv"
+        counts_csv.write_text("a,b,x,y,count\n" + "\n".join(self.COUNT_ROWS) + "\n")
         payload = {
-            "quantify": {"pairs": [[2.1, 1.0]], "alpha": 1.0},
+            "quantify": {"pairs": [[2.1, 1.0]], "alpha": 1.0,
+                         "counts_csv": str(counts_csv)},
             "simulate": {"weights": [0, 0, 1, 0], "settings_deg": [0, 90, 45, -45],
                          "trials": 1000, "detection": {"eta_a": 0.9},
                          "setting_dist": [[0.25, 0.25], [0.25, 0.25]]},
@@ -394,6 +397,8 @@ class TestInputBoundaries:
         ("interplay", "theta_grid.start", -0.1),
         ("interplay", "theta_grid.stop", 1.0),
         ("interplay", "level", 1.5),
+        ("interplay", "theta_grid.num", -1),
+        ("quantify", "alpha", 0.5),  # applied to counts_csv; each pair has its own
         ("tomo", "target_weights", [0.5, 0.5, 0.5, 0]),
         ("pbr", "block", 0)])
     def test_domain_fault_in_config_is_config_error(self, tmp_path, capsys, subcommand,
@@ -526,6 +531,14 @@ class TestInterplay:
             # interior maximum: the peak is not at either grid endpoint
             peak = int(np.argmax(s_vals))
             assert 0 < peak < len(s_vals) - 1
+
+    def test_empty_grid_writes_header_only(self, tmp_path):
+        cfg = write_config(tmp_path, "i.json", {
+            "measure": "ode", "level": 0.3, "theta_grid": {"num": 0}})
+        out = tmp_path / "o"
+        assert main(["interplay", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "interplay_alpha1.0.csv").read_text() == \
+            "theta_rad,incompat,s_alpha,l1,l2,l3,l4\n"
 
 
 class TestPbrAndTomo:

@@ -2,7 +2,8 @@
 
 Differential tests compare them with the outputs of the generic solvers
 they replaced (linear programs, SLSQP and Nelder-Mead), frozen on a grid
-in solver_reference.json.  Property tests check that each closed form
+in solver_reference.json, and interplay's root solver with scipy's brentq,
+run side by side.  Property tests check that each closed form
 bounds every state or realization it claims to maximize over.
 """
 
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from bellkit import interplay
 from bellkit.bell import MeasurementSetting, s_alpha_expected
 from bellkit.di_bounds import _best_realization, multi_alpha_incompatibility_bound
 from bellkit.interplay import (fixed_state_curve, max_s_fixed_concurrence,
@@ -33,6 +36,31 @@ class TestAgainstReplacedSolvers:
         p = max_s_fixed_ode(ode, theta, alpha)
         assert p.s_alpha >= old - 1e-9
         assert abs(one_way_distillable(p.weights) - ode) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.04, 1.5, 2.0])
+    def test_ode_root_equals_brentq(self, monkeypatch, alpha):
+        """interplay's own root solver against the scipy brentq it replaced,
+        over ode in (-1, 1) and theta from 0 to pi/4 (the tie branch at both
+        ends), in at most 15 evaluations per root at the median."""
+        own, evaluations = interplay._root, []
+
+        def counted(f, lo, hi):
+            calls = []
+            root = own(lambda x: calls.append(x) or f(x), lo, hi)
+            evaluations.append(len(calls))
+            return root
+
+        for theta in np.linspace(0.0, np.pi / 4, 9):
+            for ode in np.linspace(-0.99, 0.99, 23):
+                monkeypatch.setattr(interplay, "_root", counted)
+                p = max_s_fixed_ode(ode, theta, alpha)
+                monkeypatch.setattr(interplay, "_root",
+                                    lambda f, lo, hi: brentq(f, lo, hi, xtol=1e-15))
+                q = max_s_fixed_ode(ode, theta, alpha)
+                assert abs(p.s_alpha - q.s_alpha) <= 1e-12
+                assert np.max(np.abs(p.weights - q.weights)) <= 1e-12
+                assert abs(one_way_distillable(p.weights) - ode) <= 1e-12
+        assert np.median(evaluations) <= 15
 
     @pytest.mark.parametrize("s, alpha, side, old", REFERENCE["multi_alpha"])
     def test_multi_alpha_equals_nelder_mead(self, s, alpha, side, old):

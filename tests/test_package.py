@@ -3,6 +3,7 @@ the import graph between bellkit's modules."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -25,19 +26,41 @@ def test_all_names_exist(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
-    """`import bellkit.cli` must not load scipy.interpolate.
-
-    scipy.optimize is still loaded on this path: `tomo` imports
-    `scipy.optimize.minimize` at module level for its Nelder-Mead fit, and
-    `interplay` uses `brentq`.
-    """
-    code = ("import sys, bellkit.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+def run_python(code: str, cwd=None) -> str:
+    """Standard output of code run by a fresh interpreter that imports bellkit
+    from this source tree."""
     env = dict(os.environ, PYTHONPATH=str(Path(bellkit.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_out_scipy():
+    """`import bellkit.cli` loads no scipy module: `interplay` solves its roots
+    itself, and `tomo` imports `scipy.optimize.minimize` inside `mle_fit`."""
+    code = ("import sys, bellkit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert run_python(code).strip() == "[]"
+
+
+SIMULATE = {"weights": [0, 0, 1, 0], "settings_deg": [0, 90, 45, -45], "trials": 1000,
+            "shards": 2}
+
+
+@pytest.mark.parametrize("subcommand, cfg, allowed", [
+    ("quantify", {"pairs": [[2.1, 1.0], [2.05, 1.5]]}, []),
+    ("simulate", SIMULATE, []),
+    ("interplay", {"measure": "ode", "level": 0.3, "alphas": [1.0, 1.5],
+                   "theta_grid": {"start": 0.0, "stop": 0.785, "num": 5}}, []),
+    ("simulate", dict(SIMULATE, trial_log=True), ["bellkit.trial_log"]),
+], ids=["quantify", "simulate", "interplay", "simulate-log"])
+def test_main_loads_no_module_after_import(tmp_path, subcommand, cfg, allowed):
+    """Each call's modules are loaded by `import bellkit.cli`, not inside `main`,
+    so a call's time is its own work; writing a trial log loads its codec."""
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    code = ("import sys, bellkit.cli; before = set(sys.modules); "
+            f"code = bellkit.cli.main([{subcommand!r}, '--config', 'c.json', '--out', 'o']); "
+            "print(code, sorted(set(sys.modules) - before))")
+    assert run_python(code, cwd=tmp_path).splitlines()[-1] == f"0 {allowed}"
 
 
 def package_imports() -> dict:

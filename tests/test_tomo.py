@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellkit.qstate import bell_diagonal, fidelity, validate_density_matrix
 from bellkit.tomo import (BASIS_LABELS, SETTING_GROUPS, SINGLE_QUBIT_STATES,
@@ -114,6 +116,34 @@ class TestLikelihood:
 def _probs(t):
     from bellkit.tomo import _probabilities_from_t
     return _probabilities_from_t(t)
+
+
+class TestProbabilityKernel:
+    """The fit's cost kernel, one product with a precomputed real matrix,
+    against the density-matrix route and values pinned from the complex
+    T-matrix kernel it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16).filter(
+        lambda v: np.dot(v, v) > 1e-6))
+    def test_equals_density_matrix_route(self, t):
+        assert np.max(np.abs(_probs(t) - probabilities(rho_from_t(t)))) <= 1e-14
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="all zero"):
+            _probs(np.zeros(16))
+
+    def test_log_likelihood_pinned(self):
+        rng = np.random.default_rng(29)
+        counts = rng.integers(1, 1000, size=36).astype(float)
+        pinned = [7609.159194230155, 9163.862222514363, 6897.143468640628]
+        for t, value in zip(rng.normal(size=(3, 16)), pinned):
+            assert log_likelihood(t, counts) == pytest.approx(value, rel=1e-12)
+
+    def test_fit_cost_pinned(self):
+        counts = simulate_counts(bell_diagonal([0.7, 0.2, 0.05, 0.05]), 10 ** 3, seed=29)
+        _, final_l = mle_fit(counts)
+        assert final_l == pytest.approx(7.121088700926668, rel=1e-9)
 
 
 class TestLinearInversion:
